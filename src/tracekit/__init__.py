@@ -3,9 +3,10 @@
 
 The pieces fit together like this: ``linkdiag`` holds oriented planar
 diagrams (PD codes) with parsing, a catalog of standard links, band
-merges, and Reidemeister moves; ``invariants`` computes signatures with
-two independent engines, determinants, the alternating tau, and the
-sliceness obstruction reports; ``traces`` turns framed links into
+merges, and Reidemeister moves; ``invariants`` computes signatures and
+determinants (Goeritz forms for reports, Seifert matrices as the
+independent oracle), the alternating tau, and the sliceness obstruction
+reports; ``traces`` turns framed links into
 symbolic handle decompositions, knotifies links with honest surgery
 circles, and runs the candidate checks; ``cli`` wraps it all in a
 JSON-first command line.

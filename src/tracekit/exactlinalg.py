@@ -3,8 +3,15 @@
 Everything here works over arbitrary-precision Python ints (or Fractions
 for congruence pivoting); no floating point is used anywhere.  Matrices
 are lists of lists, row major, and inputs are never mutated.
+
+``congruence_eliminate`` is the symmetric-form kernel: sparse
+minimum-degree congruence elimination that yields the signature and the
+determinant in one pass.  Invariant reports use it on Goeritz forms, and
+``signature_symmetric`` wraps it with input checks.  ``det_int`` is
+dense Bareiss elimination, kept as the independent determinant.
 """
 
+import heapq
 from fractions import Fraction
 
 from .errors import InternalInvariantError
@@ -182,9 +189,87 @@ def cokernel(m: IntMatrix, ambient_rank: int | None = None) -> tuple[int, tuple[
     return free, torsion
 
 
+def congruence_eliminate(m) -> tuple[int, int, int | Fraction]:
+    """Diagonalize a symmetric matrix by exact congruence, with sparse
+    rows and minimum-degree pivoting; returns (pos, neg, det).
+
+    pos and neg count the positive and negative pivots, so pos - neg is
+    the signature, and det is the product of the pivots, which is the
+    determinant (an int for an integer matrix; 0 when singular).  When
+    every remaining diagonal entry is zero, row and column j are added
+    to row and column i for some nonzero entry (i, j): the hyperbolic
+    step makes the diagonal entry 2 * m[i][j] and, being unimodular,
+    keeps the determinant and its sign.  The input must be square and
+    symmetric; it is not checked here."""
+    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x}
+            for i, row in enumerate(m)}
+    # (off-diagonal degree, index) of every row with a nonzero diagonal;
+    # a row pushes a fresh entry when it changes, and stale ones are skipped
+    heap = [(len(r) - 1, i) for i, r in rows.items() if i in r]
+    heapq.heapify(heap)
+    pos = neg = 0
+    det = Fraction(1)
+
+    def eliminate(i):
+        nonlocal pos, neg, det
+        row = rows.pop(i)
+        p = row.pop(i)
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        det *= p
+        nbrs = list(row.items())
+        for j, _ in nbrs:
+            del rows[j][i]
+        # Schur complement: m[j][k] -= m[j][i] * m[i][k] / p
+        for a, (j, mji) in enumerate(nbrs):
+            f = mji / p
+            rj = rows[j]
+            for k, mik in nbrs[a:]:
+                v = rj.get(k, 0) - f * mik
+                if v:
+                    rj[k] = rows[k][j] = v
+                else:
+                    rj.pop(k, None)
+                    rows[k].pop(j, None)
+        for j, _ in nbrs:
+            rj = rows[j]
+            if j in rj:
+                heapq.heappush(heap, (len(rj) - 1, j))
+
+    while rows:
+        if heap:
+            degree, i = heapq.heappop(heap)
+            r = rows.get(i)
+            if r is not None and i in r and len(r) - 1 == degree:
+                eliminate(i)
+            continue
+        # every remaining diagonal entry is zero
+        live = [(len(r), i) for i, r in rows.items() if r]
+        if not live:
+            return pos, neg, 0  # the remaining block is zero
+        _, i = min(live)
+        j = min(rows[i], key=lambda k: (len(rows[k]), k))
+        ri, rj = rows[i], rows[j]
+        mij = ri[j]
+        for k, v in rj.items():
+            if k != i and k != j:
+                w = ri.get(k, 0) + v
+                if w:
+                    ri[k] = rows[k][i] = w
+                else:
+                    del ri[k], rows[k][i]
+        ri[i] = 2 * mij  # m[i][i] + 2 m[i][j] + m[j][j] with both ends zero
+        eliminate(i)
+    if det.denominator == 1:
+        return pos, neg, det.numerator
+    return pos, neg, det
+
+
 def signature_symmetric(m) -> int:
     """Signature of a symmetric matrix over Q, by exact congruence
-    diagonalization (Lagrange reduction with rational arithmetic)."""
+    diagonalization (``congruence_eliminate``)."""
     n = len(m)
     if n == 0:
         return 0
@@ -195,48 +280,5 @@ def signature_symmetric(m) -> int:
         for j in range(i):
             if s[i][j] != s[j][i]:
                 raise ValueError("matrix is not symmetric")
-    pos = neg = 0
-    k = 0
-    while k < n:
-        if s[k][k] == 0:
-            # bring a nonzero diagonal entry to position k, or manufacture
-            # one from an off-diagonal entry (hyperbolic pivot)
-            swap = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
-            if swap is not None:
-                s[k], s[swap] = s[swap], s[k]
-                for row in s:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if s[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    break  # remaining block is zero
-                i, j = off
-                for col in range(n):
-                    s[i][col] += s[j][col]
-                for row in s:
-                    row[i] += row[j]
-                if i != k:
-                    s[k], s[i] = s[i], s[k]
-                    for row in s:
-                        row[k], row[i] = row[i], row[k]
-        p = s[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            f = s[r][k] / p
-            if f:
-                for col in range(n):
-                    s[r][col] -= f * s[k][col]
-                for row in s:
-                    row[r] -= f * row[k]
-        k += 1
+    pos, neg, _ = congruence_eliminate(s)
     return pos - neg

@@ -1,10 +1,14 @@
 """Classical diagram invariants and sliceness obstructions.
 
-The link signature is computed by two fully independent engines: the
-symmetrized Seifert matrix of a braid-form presentation, and the Goeritz
-form of a checkerboard shading corrected by the crossing types
-(Gordon-Litherland).  Their agreement is enforced by the test suite, and
-the Goeritz route itself is computed from both shadings and compared.
+Reports take the signature and the determinant from the Goeritz form of
+each checkerboard shading, corrected by the crossing types
+(Gordon-Litherland): one sparse congruence pass per shading gives both,
+and the two shadings must agree on sigma and on |det|.  The symmetrized
+Seifert matrix of a braid-form presentation (``signature_seifert``,
+``determinant``) is a fully independent second engine; no report calls
+it, and the test suite uses it as the oracle.  ``determinant_goeritz``
+stays on dense Bareiss elimination so that it checks reports
+independently of the congruence kernel.
 
 For connected alternating diagrams the concordance invariant tau is
 (l - 1 - sigma)/2, calibrated so the right-handed trefoil has tau = 1;
@@ -21,7 +25,7 @@ from .errors import (
     NotAlternating,
     ParityViolation,
 )
-from .exactlinalg import det_int, signature_symmetric
+from .exactlinalg import congruence_eliminate, det_int, signature_symmetric
 from .linkdiag import LinkDiagram, _pieces, faces, is_alternating, is_connected
 from .seifert import SeifertData, seifert
 
@@ -38,7 +42,8 @@ def signature_seifert(d: LinkDiagram) -> int:
 
 
 def determinant(d: LinkDiagram) -> int:
-    """|det(V + V^T)|, the link determinant."""
+    """|det(V + V^T)|, the link determinant (Seifert engine; an oracle
+    for the report's Goeritz determinant)."""
     return abs(det_int(_symmetrized(seifert(d))))
 
 
@@ -117,26 +122,37 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, GoeritzData]:
     return tuple(out)
 
 
-def signature_gl(d: LinkDiagram) -> int:
-    """Link signature via the Goeritz form and its crossing-type
-    correction; computed from both shadings, which must agree."""
+def _goeritz_invariants(d: LinkDiagram) -> tuple[int, int]:
+    """(sigma, det) of a connected diagram from one congruence pass over
+    each shading's Goeritz form; the shadings must agree on both."""
     if not d.crossings:
         if not is_connected(d):
             raise DisconnectedDiagram("signature needs a connected diagram")
-        return 0
+        return 0, 1
     values = []
     for gd in goeritz_data(d):
-        values.append(-(signature_symmetric([list(r) for r in gd.matrix]) + gd.correction))
-    if values[0] != values[1]:
+        pos, neg, det = congruence_eliminate(gd.matrix)
+        values.append((-(pos - neg + gd.correction), abs(det)))
+    (sigma, det), (sigma1, det1) = values
+    if sigma != sigma1:
         raise InternalInvariantError(
-            f"shadings disagree on the signature: {values}"
-        )
-    return values[0]
+            f"shadings disagree on the signature: {[sigma, sigma1]}")
+    if det != det1:
+        raise InternalInvariantError(
+            f"shadings disagree on |det|: {[det, det1]}")
+    return sigma, det
+
+
+def signature_gl(d: LinkDiagram) -> int:
+    """Link signature via the Goeritz form and its crossing-type
+    correction; computed from both shadings, which must agree."""
+    return _goeritz_invariants(d)[0]
 
 
 def determinant_goeritz(d: LinkDiagram) -> int:
-    """|det| of the Goeritz matrix; equals the link determinant and
-    serves as the independent oracle for ``determinant``."""
+    """|det| of the Goeritz matrix by dense Bareiss elimination; equals
+    the link determinant and checks ``determinant`` and report
+    determinants independently of the congruence kernel."""
     if not d.crossings:
         if not is_connected(d):
             raise DisconnectedDiagram("determinant needs a connected diagram")
@@ -149,6 +165,12 @@ def determinant_goeritz(d: LinkDiagram) -> int:
 # tau and slice-genus bounds
 # ---------------------------------------------------------------------------
 
+def _tau(ell: int, sigma: int) -> int:
+    if (ell - 1 - sigma) % 2:
+        raise ParityViolation(f"l - 1 - sigma = {ell - 1 - sigma} is odd")
+    return (ell - 1 - sigma) // 2
+
+
 def tau_alternating(d: LinkDiagram) -> int:
     """tau = (l - 1 - sigma)/2 for a connected alternating diagram,
     normalized so the right-handed trefoil has tau = +1."""
@@ -156,11 +178,7 @@ def tau_alternating(d: LinkDiagram) -> int:
         raise DisconnectedDiagram("tau formula needs a connected diagram")
     if not is_alternating(d):
         raise NotAlternating("tau formula is only licensed on alternating diagrams")
-    ell = d.num_components
-    sigma = signature_gl(d)
-    if (ell - 1 - sigma) % 2:
-        raise ParityViolation(f"l - 1 - sigma = {ell - 1 - sigma} is odd")
-    return (ell - 1 - sigma) // 2
+    return _tau(d.num_components, signature_gl(d))
 
 
 def g4_lower_bound(d: LinkDiagram) -> int:
@@ -222,19 +240,27 @@ def planar_obstruction(d: LinkDiagram) -> PlanarVerdict:
     Crossing-free unlink diagrams visibly bound disjoint disks; other
     diagrams need l >= 2 and the tau formula's hypotheses, else Unknown.
     """
+    tau = None
+    if d.crossings and d.num_components >= 2 and is_connected(d) and is_alternating(d):
+        tau = tau_alternating(d)
+    return _planar_verdict(d, tau)
+
+
+def _planar_verdict(d: LinkDiagram, tau: int | None) -> PlanarVerdict:
+    """The planar verdict given tau, which is None unless ``d`` is a
+    connected alternating diagram."""
     if not d.crossings:
         return PlanarVerdict(NO_OBSTRUCTION, (
             Verdict("components bound disjoint embedded disks",
                     "crossingless-unlink", "split unlink diagrams are slice"),
         ))
-    if d.num_components < 2 or not is_connected(d) or not is_alternating(d):
+    if d.num_components < 2 or tau is None:
         return PlanarVerdict(UNKNOWN, (
             Verdict("tau formula hypotheses not met (need a connected "
                     "alternating diagram with l >= 2)",
                     "tau-hypotheses", "tau = (l - 1 - sigma)/2 on alternating links"),
         ))
     ell = d.num_components
-    tau = tau_alternating(d)
     g4lb = max(0, tau - ell + 1)
     base = (
         Verdict("connected alternating diagram: treated as non-split",
@@ -317,18 +343,16 @@ def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionRe
     ell = d.num_components
     verdicts: list[Verdict] = []
     if is_connected(d):
-        sigma = signature_gl(d)
-        det = determinant(d)
-        try:
-            tau = tau_alternating(d)
-        except NotAlternating:
-            tau = None
+        sigma, det = _goeritz_invariants(d)
+        tau = _tau(ell, sigma) if is_alternating(d) else None
     else:
         pieces = split_pieces(d)
-        sigma = sum(signature_gl(p) for p in pieces)
+        sigma = 0
         det = 1
         for p in pieces:
-            det *= determinant(p)
+            piece_sigma, piece_det = _goeritz_invariants(p)
+            sigma += piece_sigma
+            det *= piece_det
         tau = None
         verdicts.append(Verdict(
             f"split diagram: sigma summed and det multiplied over "
@@ -351,7 +375,7 @@ def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionRe
         f"chi4 <= {chi4_ub} (and chi4 <= l = {ell} always, with equality "
         f"iff slice)",
         "chi4-g4-conversion", "2*G4 - l = -chi4"))
-    planar = planar_obstruction(d)
+    planar = _planar_verdict(d, tau)
     verdicts.append(Verdict(f"planar-surface verdict: {planar.status}",
                             "planar-obstruction-summary", "see chain"))
     verdicts.extend(planar.chain)

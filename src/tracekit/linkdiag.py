@@ -366,18 +366,20 @@ def faces(d: LinkDiagram) -> list[list[Corner]]:
         partner[places[0]] = places[1]
         partner[places[1]] = places[0]
     out = []
-    todo = {(c.id, s) for c in d.crossings for s in range(4)}
-    while todo:
-        start = min(todo)
+    seen: set[Corner] = set()
+    # each face starts at its least corner, so faces come in that order
+    for start in sorted((c.id, s) for c in d.crossings for s in range(4)):
+        if start in seen:
+            continue
         face = [start]
-        todo.remove(start)
+        seen.add(start)
         while True:
             cid, s = face[-1]
             nxt = partner[(cid, (s + 1) % 4)]
             if nxt == start:
                 break
             face.append(nxt)
-            todo.remove(nxt)
+            seen.add(nxt)
         out.append(face)
     return out
 
@@ -485,6 +487,8 @@ def assemble_pd(
     oriented along increasing edge numbering.  Without it the
     under-strand may flow either way (tuples get rotated as needed) and
     orientations are chosen deterministically."""
+    if nloops < 0:
+        raise MalformedPD(f"loops must be non-negative, got {nloops}")
     occ: dict[int, list[Corner]] = {}
     for ci, tup in enumerate(tuples):
         for s, e in enumerate(tup):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import (
     BadBands,
     BadComponentIndex,
+    IllegalSite,
     InternalInvariantError,
     InvalidBlockFraming,
     MalformedMixedDiagram,
@@ -361,7 +362,7 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
             continue
         try:
             return _r2_insert_mapped(d, e, x)
-        except Exception:
+        except (IllegalSite, MalformedPD):
             continue
     raise BadBands(f"components {sorted(comps)} cannot be band-connected")
 

@@ -117,6 +117,17 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_negative_loops_rejected(tmp_path, capsys):
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps({"pd": [[1, 4, 2, 3], [4, 1, 3, 2]], "loops": -1,
+                                "framings": [0, 0]}))
+    code, out = run(capsys, "trace", str(path))
+    assert code == 2
+    assert out == ""
+    code, _ = run(capsys, "parse", str(path))
+    assert code == 2
+
+
 def test_batch_isolation_and_order(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     entries = [

@@ -1,9 +1,10 @@
-import random
+from fractions import Fraction
 
 import pytest
 
 from tracekit.exactlinalg import (
     cokernel,
+    congruence_eliminate,
     det_int,
     identity,
     is_unimodular,
@@ -133,3 +134,112 @@ def test_signature_congruence_invariance(rng):
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         signature_symmetric([[0, 1], [2, 0]])
+
+
+# -- sparse congruence kernel ------------------------------------------------------
+
+def lagrange_signature(m) -> int:
+    """Reference signature: dense Lagrange reduction over Q, pivoting in
+    index order and manufacturing a pivot from an off-diagonal entry
+    when the remaining diagonal is zero."""
+    n = len(m)
+    s = [[Fraction(x) for x in row] for row in m]
+    pos = neg = 0
+    k = 0
+    while k < n:
+        if s[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
+            if swap is not None:
+                s[k], s[swap] = s[swap], s[k]
+                for row in s:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                            if s[i][j] != 0), None)
+                if off is None:
+                    break  # remaining block is zero
+                i, j = off
+                for col in range(n):
+                    s[i][col] += s[j][col]
+                for row in s:
+                    row[i] += row[j]
+                if i != k:
+                    s[k], s[i] = s[i], s[k]
+                    for row in s:
+                        row[k], row[i] = row[i], row[k]
+        p = s[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            f = s[r][k] / p
+            if f:
+                for col in range(n):
+                    s[r][col] -= f * s[k][col]
+                for row in s:
+                    row[r] -= f * row[k]
+        k += 1
+    return pos - neg
+
+
+def random_symmetric(rng, n, density=1.0, zero_diagonal=False):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and zero_diagonal) or rng.random() >= density:
+                continue
+            m[i][j] = m[j][i] = rng.randrange(-4, 5)
+    return m
+
+
+def assert_kernel_matches_references(m):
+    pos, neg, det = congruence_eliminate(m)
+    assert pos - neg == lagrange_signature(m)
+    assert det == det_int(m)
+    if det:
+        assert pos + neg == len(m)
+
+
+def test_kernel_empty():
+    assert congruence_eliminate([]) == (0, 0, 1)
+
+
+def test_kernel_examples():
+    assert congruence_eliminate([[5]]) == (1, 0, 5)
+    assert congruence_eliminate([[-2, 1], [1, -2]]) == (0, 2, 3)
+    # hyperbolic plane: all-zero diagonal, signature 0, det -1
+    assert congruence_eliminate([[0, 1], [1, 0]]) == (1, 1, -1)
+    assert congruence_eliminate([[0, 0], [0, 0]]) == (0, 0, 0)
+    assert congruence_eliminate([[0, 3, 0], [3, 0, 0], [0, 0, 0]]) == (1, 1, 0)
+
+
+def test_kernel_random_against_references(rng):
+    for _ in range(400):
+        n = rng.randrange(0, 13)
+        assert_kernel_matches_references(random_symmetric(rng, n, rng.random()))
+
+
+def test_kernel_zero_diagonal_hyperbolic_branch(rng):
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        assert_kernel_matches_references(
+            random_symmetric(rng, n, rng.random(), zero_diagonal=True))
+
+
+def test_kernel_singular(rng):
+    for _ in range(200):
+        n = rng.randrange(2, 13)
+        m = random_symmetric(rng, n, rng.random(), zero_diagonal=rng.random() < 0.5)
+        # a repeated row and column puts e_a - e_b in the radical
+        a, b = rng.sample(range(n), 2)
+        for k in range(n):
+            m[b][k] = m[k][b] = m[a][k]
+        m[b][b] = m[a][b] = m[b][a] = m[a][a]
+        assert det_int(m) == 0
+        assert_kernel_matches_references(m)
+
+
+def test_kernel_rational_entries():
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 4)]]
+    assert congruence_eliminate(m) == (1, 1, Fraction(-1, 8) - Fraction(1, 9))

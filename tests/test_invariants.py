@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_connected_diagram
 from tracekit import linkdiag as ld
-from tracekit.errors import DisconnectedDiagram, NotAlternating
+from tracekit.errors import DisconnectedDiagram, InternalInvariantError, NotAlternating
 from tracekit.invariants import (
     NO_OBSTRUCTION,
     OBSTRUCTION_FOUND,
@@ -75,6 +75,10 @@ def test_dual_oracle_catalog():
         d = ld.catalog(name, param)
         assert signature_gl(d) == signature_seifert(d)
         assert determinant(d) == determinant_goeritz(d)
+    # reports take det from the Goeritz form; the Seifert engine checks it
+    for n in range(2, -11, -1):
+        d = ld.catalog("twist_family", n)
+        assert obstruction_report(d).det == determinant(d)
 
 
 def test_dual_oracle_random(rng):
@@ -248,6 +252,21 @@ def test_goeritz_shading_independence():
             sig = signature_symmetric([list(r) for r in gd.matrix])
             values.append(-(sig + gd.correction))
         assert values[0] == values[1]
+
+
+def test_shadings_must_agree_on_det(monkeypatch):
+    import tracekit.invariants as inv
+    real = inv.congruence_eliminate
+    calls = []
+
+    def skewed(m):
+        pos, neg, det = real(m)
+        calls.append(m)
+        return pos, neg, det * len(calls)  # the second shading's det doubles
+
+    monkeypatch.setattr(inv, "congruence_eliminate", skewed)
+    with pytest.raises(InternalInvariantError, match="det"):
+        obstruction_report(ld.parse_pd(TREFOIL))
 
 
 def test_catalog_move_invariance(rng):

@@ -9,6 +9,8 @@ from tracekit import traces as tr
 from tracekit.errors import (
     BadBands,
     BadComponentIndex,
+    IllegalSite,
+    InternalInvariantError,
     InvalidBlockFraming,
     MalformedMixedDiagram,
     NotAPartition,
@@ -20,6 +22,26 @@ HOPF = "X(1,4,2,3), X(4,1,3,2)"
 
 def framed(name, param, framings):
     return tr.FramedLink(ld.catalog(name, param), tuple(framings))
+
+
+# -- band transport -----------------------------------------------------------------
+
+def _failing_push(error):
+    def push(d, over, under):
+        raise error("push failed")
+    return push
+
+
+def test_transport_push_skips_illegal_sites(monkeypatch):
+    monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(IllegalSite))
+    with pytest.raises(BadBands):
+        tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
+
+
+def test_transport_push_propagates_internal_errors(monkeypatch):
+    monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(InternalInvariantError))
+    with pytest.raises(InternalInvariantError):
+        tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
 # -- zero traces ------------------------------------------------------------------
