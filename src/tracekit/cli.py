@@ -40,12 +40,16 @@ def _load_link(args) -> tuple[LinkDiagram, list[int] | None]:
     return parse_pd(text), None
 
 
+def _parse_framings(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad framings {text!r}") from exc
+
+
 def _framings(args, diagram: LinkDiagram, json_framings) -> tuple[int, ...]:
     if getattr(args, "framings", None):
-        try:
-            return tuple(int(x) for x in args.framings.split(","))
-        except ValueError as exc:
-            raise InputError(f"bad framings {args.framings!r}") from exc
+        return _parse_framings(args.framings)
     if json_framings is not None:
         return tuple(json_framings)
     return tuple([0] * diagram.num_components)
@@ -77,12 +81,17 @@ def _parse_bands(text: str) -> list[BandSpec]:
             return (str(x[0]), int(x[1]))
         return int(x)
 
+    if not isinstance(rows, list):
+        raise InputError("bands must be a JSON list")
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) < 2:
             raise InputError(f"bad band {row!r}")
-        framing = int(row[2]) if len(row) > 2 else 0
-        out.append(BandSpec(arc(row[0]), arc(row[1]), framing))
+        try:
+            framing = int(row[2]) if len(row) > 2 else 0
+            out.append(BandSpec(arc(row[0]), arc(row[1]), framing))
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InputError(f"bad band {row!r}") from exc
     return out
 
 
@@ -189,20 +198,24 @@ def _cmd_check_schoenflies(args) -> int:
     if getattr(args, "catalog", None):
         d = _load_catalog(args.catalog)
         dotted: tuple[int, ...] = ()
-        raw = {}
+        framings = None
     else:
+        if not args.input:
+            raise InputError("need an input file or --catalog")
         try:
             raw = json.loads(open(args.input).read())
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"bad JSON: {exc}") from exc
-        d, _ = linkdiag.from_json_dict(raw)
-        dotted = tuple(int(x) for x in raw.get("dotted", ()))
-    framings = raw.get("framings") if isinstance(raw, dict) else None
+        d, framings = linkdiag.from_json_dict(raw)
+        try:
+            dotted = tuple(int(x) for x in raw.get("dotted", ()))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad dotted list: {exc}") from exc
     n_attach = d.num_components - len(dotted)
     if getattr(args, "framings", None):
-        framings = [int(x) for x in args.framings.split(",")]
+        framings = _parse_framings(args.framings)
     if framings is None:
         framings = [0] * n_attach
     mixed = traces.MixedLink(d, dotted, tuple(framings))
@@ -237,11 +250,16 @@ def _cmd_batch(args) -> int:
         raise InputError(f"bad manifest JSON: {exc}") from exc
     if isinstance(manifest, dict):
         manifest = manifest.get("entries", [])
+    if not isinstance(manifest, list):
+        raise InputError("manifest must be a list of entries")
     rows = []
     failures = 0
     for entry in manifest:
-        label = entry.get("catalog") or entry.get("file") or "?"
+        label = (entry.get("catalog") or entry.get("file") or "?"
+                 if isinstance(entry, dict) else "?")
         try:
+            if not isinstance(entry, dict):
+                raise InputError(f"manifest entry {entry!r} is not an object")
             if "catalog" in entry:
                 d = _load_catalog(entry["catalog"])
             else:

@@ -24,6 +24,7 @@ from .errors import (
     BadComponentIndex,
     IllegalSite,
     InconsistentEdges,
+    InputError,
     InternalInvariantError,
     MalformedPD,
     OrientationConflict,
@@ -118,8 +119,9 @@ class BandSpec:
 
     Arcs are edge ids, or ("loop", k) to address the k-th crossing-free
     loop.  ``framing`` counts half-twists of the band (each adds one
-    crossing between the band's sides); ``coherent`` asserts the gluing
-    matches the strand orientations and must be True for a merge.
+    crossing between the band's sides, of the framing's sign);
+    ``coherent`` asserts the gluing matches the strand orientations and
+    must be True for a merge.
     """
 
     arc_a: Arc
@@ -350,6 +352,11 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
     return pieces
 
 
+def _piece_index(d: LinkDiagram) -> dict[int, int]:
+    """Crossing id -> index of its connected piece in ``_pieces`` order."""
+    return {cid: i for i, piece in enumerate(_pieces(d)) for cid in piece}
+
+
 def is_connected(d: LinkDiagram) -> bool:
     return len(_pieces(d)) + d.loops == 1
 
@@ -428,6 +435,18 @@ def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
             walk.append((e, corner in tails and tails[corner] == e))
         out.append(walk)
     return out
+
+
+def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
+    """(parity of a, parity of b) over every face whose walk meets both
+    edges.  Face walks keep their region on the right, so a parity of
+    True puts the face to the right of the edge."""
+    sides = set()
+    for walk in face_edge_parities(d):
+        pars_a = [p for e, p in walk if e == a]
+        pars_b = [p for e, p in walk if e == b]
+        sides.update((x, y) for x in pars_a for y in pars_b)
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +618,14 @@ def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
         pd = [tuple(int(x) for x in row) for row in data["pd"]]
         nloops = int(data.get("loops", 0))
         name = data.get("name") or None
+        framings = data.get("framings")
+        if framings is not None:
+            framings = [int(x) for x in framings]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedPD(f"bad link JSON: {exc}") from exc
     if any(len(row) != 4 for row in pd):
         raise MalformedPD("pd rows must have four entries")
     d = assemble_pd(pd, nloops, name, strict_under=True)
-    framings = data.get("framings")
-    if framings is not None:
-        framings = [int(x) for x in framings]
     return d, framings
 
 
@@ -731,41 +750,19 @@ def is_alternating(d: LinkDiagram) -> bool:
 # band merges
 # ---------------------------------------------------------------------------
 
-def _band_site_valid(d: LinkDiagram, arc_a: int, arc_b: int, framing: int) -> bool:
-    """A coherent band needs the arcs anti-parallel along a shared face
-    when its half-twist count is even, parallel when odd; arcs in
-    different connected pieces can always be arranged either way."""
-    piece_of = {}
-    for i, piece in enumerate(_pieces(d)):
-        for cid in piece:
-            piece_of[cid] = i
-    pa = piece_of[d.head_of(arc_a)[0]]
-    pb = piece_of[d.head_of(arc_b)[0]]
-    if pa != pb:
-        return True
-    want_same = framing % 2 == 0
-    for walk in face_edge_parities(d):
-        pars_a = [p for e, p in walk if e == arc_a]
-        pars_b = [p for e, p in walk if e == arc_b]
-        if any((x == y) == want_same for x in pars_a for y in pars_b):
-            return True
-    return False
+def _same_piece(d: LinkDiagram, a: int, b: int) -> bool:
+    piece_of = _piece_index(d)
+    return piece_of[d.head_of(a)[0]] == piece_of[d.head_of(b)[0]]
 
 
 def band_merge(d: LinkDiagram, band: BandSpec) -> LinkDiagram:
     return _band_merge_full(d, band)[0]
 
 
-def band_merge_tracked(d: LinkDiagram, band: BandSpec) -> tuple[LinkDiagram, tuple[Arc, Arc]]:
-    """Merge two components along a band; also returns the two band-side
-    arcs of the merged diagram, which is what a clasping surgery circle
-    needs to encircle."""
-    merged, arcs, _ = _band_merge_full(d, band)
-    return merged, arcs[:2]
-
-
 def _band_merge_full(d: LinkDiagram, band: BandSpec):
-    """(merged diagram, band-side arcs, old-edge -> new-edge map)."""
+    """(merged diagram, band-side arcs, old-edge -> new-edge map).  The
+    band-side arcs sit across one section of the band, where a clasping
+    surgery circle fits."""
     if not band.coherent:
         raise OrientationConflict("band gluing reverses orientation")
     ca = _component_of_arc(d, band.arc_a)
@@ -792,68 +789,65 @@ def _band_merge_full(d: LinkDiagram, band: BandSpec):
         emap = dict(b.last_edge_map)
         return frozen, (emap[edge], emap[edge]), emap
 
-    if not _band_site_valid(d, band.arc_a, band.arc_b, band.framing):
-        raise OrientationConflict(
-            f"no face admits a coherent band between edges {band.arc_a} and "
-            f"{band.arc_b} with {band.framing} half-twists"
-        )
+    # A coherent band runs through a shared face along which the arcs
+    # are anti-parallel (equal parities) for an even half-twist count and
+    # parallel for an odd one; arcs in different pieces meet either way.
+    anti = band.framing % 2 == 0
+    if _same_piece(d, band.arc_a, band.arc_b):
+        sides = _face_sides(d, band.arc_a, band.arc_b)
+        lefts = {not x for x, y in sides if (x == y) == anti}
+        if not lefts:
+            raise OrientationConflict(
+                f"no face admits a coherent band between edges {band.arc_a} and "
+                f"{band.arc_b} with {band.framing} half-twists"
+            )
+    else:
+        lefts = {True, False}
+    positive = band.framing > 0
+    return _band_build(d, band, positive if positive in lefts else not positive)
 
-    def build(positive: bool):
-        b = _thaw(d)
-        a1, a2 = b.split_edge(band.arc_a)
-        g1, g2 = b.split_edge(band.arc_b)
-        # connector A carries a1 -> (rest of arc_b); connector B the reverse
-        b.set_slot(b.occurrence(g2, _END_HEAD), (a1, _END_HEAD))
-        b.set_slot(b.occurrence(a2, _END_HEAD), (g1, _END_HEAD))
-        m = abs(band.framing)
-        if m == 0:
-            frozen = b.freeze()
-            emap = dict(b.last_edge_map)
-            return frozen, (emap[a1], emap[g1]), emap
-        # pre-split both connectors into m+1 pieces in flow order
-        apiece = [a1]
-        bpiece = [g1]
-        for _ in range(m):
-            _, na = b.split_edge(apiece[-1])
-            apiece.append(na)
-            _, nb = b.split_edge(bpiece[-1])
-            bpiece.append(nb)
-        h, t = _END_HEAD, _END_TAIL
-        anti = m % 2 == 0  # coherence forces the relative direction
-        for k in range(m):
-            a_in, a_out = apiece[k], apiece[k + 1]
-            if anti:
-                b_in, b_out = bpiece[m - 1 - k], bpiece[m - k]
-            else:
-                b_in, b_out = bpiece[k], bpiece[k + 1]
-            if anti:
-                if k % 2 == 0:
-                    slots = [(a_in, h), (b_in, h), (a_out, t), (b_out, t)]
-                else:
-                    slots = [(b_in, h), (a_in, h), (b_out, t), (a_out, t)]
-                if positive:  # reflect: reverse the cyclic order
-                    slots = [slots[0], slots[3], slots[2], slots[1]]
-            else:
-                if k % 2 == 0:
-                    slots = [(a_in, h), (b_out, t), (a_out, t), (b_in, h)]
-                else:
-                    slots = [(b_in, h), (a_out, t), (b_out, t), (a_in, h)]
-                if not positive:
-                    slots = [slots[0], slots[3], slots[2], slots[1]]
-            b.add_crossing(slots)
-        # report the two band-side arcs at a common section of the band;
-        # which end of the twisted side sits next to the a-side start
-        # depends on the face chirality, so offer both (primary first)
-        frozen = b.freeze()
-        emap = dict(b.last_edge_map)
-        primary, alt = (bpiece[-1], bpiece[0]) if anti else (bpiece[0], bpiece[-1])
-        return frozen, (emap[apiece[0]], emap[primary], emap[alt]), emap
 
-    try:
-        return build(band.framing > 0)
-    except MalformedPD:
-        # the face forces the reflected chain; twist count is preserved
-        return build(band.framing <= 0)
+def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
+    """Glue a band between two edges through a face to the left of
+    arc_a (or to its right), with abs(framing) twist crossings that
+    carry the sign of the framing."""
+    b = _thaw(d)
+    a1, a2 = b.split_edge(band.arc_a)
+    g1, g2 = b.split_edge(band.arc_b)
+    # connector A carries a1 -> (rest of arc_b); connector B the reverse
+    b.set_slot(b.occurrence(g2, _END_HEAD), (a1, _END_HEAD))
+    b.set_slot(b.occurrence(a2, _END_HEAD), (g1, _END_HEAD))
+    m = abs(band.framing)
+    # pre-split both connectors into m+1 pieces in flow order
+    apiece = [a1]
+    bpiece = [g1]
+    for _ in range(m):
+        _, na = b.split_edge(apiece[-1])
+        apiece.append(na)
+        _, nb = b.split_edge(bpiece[-1])
+        bpiece.append(nb)
+    h, t = _END_HEAD, _END_TAIL
+    anti = m % 2 == 0  # coherence forces the relative direction
+    for k in range(m):
+        a_in, a_out = apiece[k], apiece[k + 1]
+        if anti:
+            b_in, b_out = bpiece[m - 1 - k], bpiece[m - k]
+        else:
+            b_in, b_out = bpiece[k], bpiece[k + 1]
+        if k % 2 == 0:
+            slots = [(a_in, h), (b_in, h), (a_out, t), (b_out, t)]
+        else:
+            slots = [(b_in, h), (a_in, h), (b_out, t), (a_out, t)]
+        if left:  # reflect: reverse the cyclic order
+            slots = [slots[0], slots[3], slots[2], slots[1]]
+        if (slots[3][1] == h) != (band.framing > 0):
+            # switch: the over-strand becomes the under-strand
+            over_in = 1 if slots[1][1] == h else 3
+            slots = slots[over_in:] + slots[:over_in]
+        b.add_crossing(slots)
+    frozen = b.freeze()
+    emap = dict(b.last_edge_map)
+    return frozen, (emap[apiece[0]], emap[bpiece[-1]]), emap
 
 
 # ---------------------------------------------------------------------------
@@ -950,60 +944,41 @@ def _r2_insert_mapped(d: LinkDiagram, over: int, under: int):
     edges = set(d.edge_component())
     if over not in edges or under not in edges:
         raise IllegalSite("R2 site edges missing")
-    anti = parallel = False
     if over == under:
         raise IllegalSite("R2 needs two distinct arcs")
-    for walk in face_edge_parities(d):
-        pars_o = [p for e, p in walk if e == over]
-        pars_u = [p for e, p in walk if e == under]
-        for x in pars_o:
-            for y in pars_u:
-                if x == y:
-                    anti = True
-                else:
-                    parallel = True
-    piece_of = {}
-    for i, piece in enumerate(_pieces(d)):
-        for cid in piece:
-            piece_of[cid] = i
-    if piece_of[d.head_of(over)[0]] != piece_of[d.head_of(under)[0]]:
-        anti = True  # separate pieces can always be brought side by side
-    if not anti and not parallel:
-        raise IllegalSite(f"edges {over} and {under} share no face")
+    if _same_piece(d, over, under):
+        sides = _face_sides(d, over, under)
+        if not sides:
+            raise IllegalSite(f"edges {over} and {under} share no face")
+        # where two faces fit, prefer anti-parallel, then right of ``over``
+        po, pu = max(sides, key=lambda side: (side[0] == side[1], side[0]))
+    else:
+        po = pu = True  # separate pieces can always be brought side by side
+    return _r2_build(d, over, under, po == pu, not po)
 
-    def build(template: str):
-        b = _thaw(d)
-        e1, e2 = b.split_edge(over)
-        me = b.new_edge_id()
-        g1, g2 = b.split_edge(under)
-        mg = b.new_edge_id()
-        h, t = _END_HEAD, _END_TAIL
-        if template == "anti":
-            b.add_crossing([(mg, h), (e1, h), (g2, t), (me, t)])
-            b.add_crossing([(g1, h), (e2, t), (mg, t), (me, h)])
-        elif template == "anti-mirror":
-            b.add_crossing([(mg, h), (me, t), (g2, t), (e1, h)])
-            b.add_crossing([(g1, h), (me, h), (mg, t), (e2, t)])
-        elif template == "parallel":
-            b.add_crossing([(g1, h), (me, t), (mg, t), (e1, h)])
-            b.add_crossing([(mg, h), (me, h), (g2, t), (e2, t)])
-        else:
-            b.add_crossing([(g1, h), (e1, h), (mg, t), (me, t)])
-            b.add_crossing([(mg, h), (e2, t), (g2, t), (me, h)])
-        frozen = b.freeze()
-        return frozen, dict(b.last_edge_map)
 
-    templates = []
+def _r2_build(d: LinkDiagram, over: int, under: int, anti: bool, mirrored: bool):
+    """Push ``over`` across ``under`` through a face where they run
+    anti-parallel or parallel; ``mirrored`` reverses each crossing's
+    cyclic order, for a face left of ``over``."""
+    b = _thaw(d)
+    e1, e2 = b.split_edge(over)
+    me = b.new_edge_id()
+    g1, g2 = b.split_edge(under)
+    mg = b.new_edge_id()
+    h, t = _END_HEAD, _END_TAIL
     if anti:
-        templates += ["anti", "anti-mirror"]
-    if parallel:
-        templates += ["parallel", "parallel-mirror"]
-    for template in templates:
-        try:
-            return build(template)
-        except MalformedPD:
-            continue
-    raise IllegalSite(f"no planar R2 push of {over} over {under}")
+        pattern = [[(mg, h), (e1, h), (g2, t), (me, t)],
+                   [(g1, h), (e2, t), (mg, t), (me, h)]]
+    else:
+        pattern = [[(g1, h), (me, t), (mg, t), (e1, h)],
+                   [(mg, h), (me, h), (g2, t), (e2, t)]]
+    for slots in pattern:
+        if mirrored:
+            slots = [slots[0], slots[3], slots[2], slots[1]]
+        b.add_crossing(slots)
+    frozen = b.freeze()
+    return frozen, dict(b.last_edge_map)
 
 
 def _r2_insert_loop(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
@@ -1014,25 +989,17 @@ def _r2_insert_loop(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
         raise IllegalSite(f"bad loop R2 site ({over}, {under})")
     if under not in d.edge_component():
         raise IllegalSite(f"no edge {under}")
-    for mirrored in (False, True):
-        b = _thaw(d)
-        b.loops -= 1
-        g1, g2 = b.split_edge(under)
-        mg = b.new_edge_id()
-        f1 = b.new_edge_id()
-        f2 = b.new_edge_id()
-        h, t = _END_HEAD, _END_TAIL
-        if not mirrored:
-            b.add_crossing([(g1, h), (f2, t), (mg, t), (f1, h)])
-            b.add_crossing([(mg, h), (f2, h), (g2, t), (f1, t)])
-        else:
-            b.add_crossing([(g1, h), (f1, h), (mg, t), (f2, t)])
-            b.add_crossing([(mg, h), (f1, t), (g2, t), (f2, h)])
-        try:
-            return b.freeze()
-        except MalformedPD:
-            continue
-    raise IllegalSite(f"no planar loop R2 over edge {under}")
+    # a loop pushed over one strand is a 1-1 tangle, planar either way round
+    b = _thaw(d)
+    b.loops -= 1
+    g1, g2 = b.split_edge(under)
+    mg = b.new_edge_id()
+    f1 = b.new_edge_id()
+    f2 = b.new_edge_id()
+    h, t = _END_HEAD, _END_TAIL
+    b.add_crossing([(g1, h), (f2, t), (mg, t), (f1, h)])
+    b.add_crossing([(mg, h), (f2, h), (g2, t), (f1, t)])
+    return b.freeze()
 
 
 def _r2_remove(d: LinkDiagram, c1: int, c2: int) -> LinkDiagram:
@@ -1169,6 +1136,13 @@ def _parse_sign(param) -> int:
     raise UnknownCatalogEntry(f"bad sign parameter {param!r}")
 
 
+def _int_param(name: str, param) -> int:
+    try:
+        return int(param)
+    except ValueError as exc:
+        raise InputError(f"{name} needs an integer parameter, got {param!r}") from exc
+
+
 def _twist_family(n: int) -> LinkDiagram:
     """The two-component family anchored at the parallel (2,4)-torus
     link: entry n is the 2-bridge link of fraction (6n-4)/(2n-1), with
@@ -1192,7 +1166,7 @@ def catalog(name: str, param=None) -> LinkDiagram:
     if name == "unknot":
         return parse_pd("O", "unknot")
     if name == "unlink":
-        n = int(param if param is not None else 2)
+        n = _int_param(name, param if param is not None else 2)
         if n < 1:
             raise UnknownCatalogEntry("unlink needs n >= 1")
         return parse_pd(", ".join(["O"] * n), f"unlink({n})")
@@ -1213,7 +1187,7 @@ def catalog(name: str, param=None) -> LinkDiagram:
     if name == "twist_family":
         if param is None:
             raise UnknownCatalogEntry("twist_family needs an integer parameter")
-        return _twist_family(int(param))
+        return _twist_family(_int_param(name, param))
     raise UnknownCatalogEntry(f"unknown catalog entry {name!r}")
 
 

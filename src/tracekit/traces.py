@@ -22,7 +22,6 @@ from .errors import (
     InternalInvariantError,
     InvalidBlockFraming,
     MalformedMixedDiagram,
-    MalformedPD,
     NotAPartition,
     OrientationConflict,
     SameComponent,
@@ -33,6 +32,8 @@ from .linkdiag import (
     BandSpec,
     LinkDiagram,
     _band_merge_full,
+    _face_sides,
+    _piece_index,
     _thaw,
     face_edge_parities,
     linking_matrix,
@@ -222,37 +223,52 @@ def framed_mirror(link: FramedLink) -> FramedLink:
 # knotification as diagram surgery
 # ---------------------------------------------------------------------------
 
+def _clasp(b, first: tuple[int, int, int], second: tuple[int, int, int],
+           mirrored: bool = False) -> int:
+    """Add the 4-crossing clasp of a 0-framed surgery circle around two
+    strands, each given as (in, middle, out) edges already split or
+    allocated by the caller.  The first strand passes under the circle
+    and then over it, the second over and then under.  ``mirrored``
+    reverses every crossing's cyclic order.  Returns one circle edge id."""
+    a_in, a_mid, a_out = first
+    b_in, b_mid, b_out = second
+    k = [b.new_edge_id() for _ in range(4)]
+    h, t = "h", "t"
+    pattern = [
+        [(a_in, h), (k[1], t), (a_mid, t), (k[0], h)],
+        [(b_mid, h), (k[1], h), (b_out, t), (k[2], t)],
+        [(k[2], h), (b_in, h), (k[3], t), (b_mid, t)],
+        [(k[3], h), (a_out, t), (k[0], t), (a_mid, h)],
+    ]
+    if mirrored:
+        pattern = [[s[0], s[3], s[2], s[1]] for s in pattern]
+    for slots in pattern:
+        b.add_crossing(slots)
+    return k[0]
+
+
 def _clasp_insert(d: LinkDiagram, conn_a: int, conn_b: int):
     """Insert a 0-framed surgery circle clasping the band whose two side
     arcs are conn_a and conn_b.  Returns (diagram, circle edge id, old
-    edge -> new edge map)."""
-
-    def build(mirrored: bool):
-        b = _thaw(d)
-        a1, rest = b.split_edge(conn_a)
-        a2, a3 = b.split_edge(rest)
-        b1, restb = b.split_edge(conn_b)
-        b2, b3 = b.split_edge(restb)
-        k = [b.new_edge_id() for _ in range(4)]
-        h, t = "h", "t"
-        pattern = [
-            [(a1, h), (k[1], t), (a2, t), (k[0], h)],
-            [(b2, h), (k[1], h), (b3, t), (k[2], t)],
-            [(k[2], h), (b1, h), (k[3], t), (b2, t)],
-            [(k[3], h), (a3, t), (k[0], t), (a2, h)],
-        ]
-        if mirrored:
-            pattern = [[s[0], s[3], s[2], s[1]] for s in pattern]
-        for slots in pattern:
-            b.add_crossing(slots)
-        frozen = b.freeze()
-        emap = dict(b.last_edge_map)
-        return frozen, emap[k[0]], emap
-
-    try:
-        return build(False)
-    except MalformedPD:
-        return build(True)
+    edge -> new edge map).  The clasp fits a shared face that lies to
+    the right of both arcs, and its mirror image one to the left of both."""
+    sides = _face_sides(d, conn_a, conn_b)
+    if (True, True) in sides:
+        mirrored = False
+    elif (False, False) in sides:
+        mirrored = True
+    else:
+        raise InternalInvariantError(
+            f"no clasp placement fits the band at edges {conn_a} and {conn_b}")
+    b = _thaw(d)
+    a1, rest = b.split_edge(conn_a)
+    a2, a3 = b.split_edge(rest)
+    b1, restb = b.split_edge(conn_b)
+    b2, b3 = b.split_edge(restb)
+    circle = _clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored)
+    frozen = b.freeze()
+    emap = dict(b.last_edge_map)
+    return frozen, emap[circle], emap
 
 
 def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
@@ -295,11 +311,7 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
             return BandSpec(loop_arc, d.components[edge_comps[0]][0])
         return BandSpec(loop_arc, ("loop", loop_comps[1] - n_edge_comps))
     # components in different connected pieces can always be joined
-    from .linkdiag import _pieces
-    piece_of = {}
-    for i, piece in enumerate(_pieces(d)):
-        for cid in piece:
-            piece_of[cid] = i
+    piece_of = _piece_index(d)
     reps = [(c, d.components[c][0]) for c in edge_comps]
     for i, (c1, e1) in enumerate(reps):
         p1 = piece_of[d.head_of(e1)[0]]
@@ -362,7 +374,7 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
             continue
         try:
             return _r2_insert_mapped(d, e, x)
-        except (IllegalSite, MalformedPD):
+        except IllegalSite:
             continue
     raise BadBands(f"components {sorted(comps)} cannot be band-connected")
 
@@ -396,32 +408,13 @@ def _clasped_unknot(d: LinkDiagram):
     """Replace two crossing-free loops by their banded merge clasped by
     a surgery circle: a 4-crossing pattern of an unknot through a
     0-framed circle.  Returns (diagram, circle edge, knot edge, map)."""
-    from .errors import MalformedPD
-
-    def build(mirrored: bool):
-        b = _thaw(d)
-        b.loops -= 2
-        a2, b2, c1, c2 = (b.new_edge_id() for _ in range(4))
-        k = [b.new_edge_id() for _ in range(4)]
-        h, t = "h", "t"
-        pattern = [
-            [(c2, h), (k[1], t), (a2, t), (k[0], h)],
-            [(b2, h), (k[1], h), (c2, t), (k[2], t)],
-            [(k[2], h), (c1, h), (k[3], t), (b2, t)],
-            [(k[3], h), (c1, t), (k[0], t), (a2, h)],
-        ]
-        if mirrored:
-            pattern = [[s[0], s[3], s[2], s[1]] for s in pattern]
-        for slots in pattern:
-            b.add_crossing(slots)
-        frozen = b.freeze()
-        emap = dict(b.last_edge_map)
-        return frozen, emap[k[0]], emap[a2], emap
-
-    try:
-        return build(False)
-    except MalformedPD:
-        return build(True)
+    b = _thaw(d)
+    b.loops -= 2
+    a2, b2, c1, c2 = (b.new_edge_id() for _ in range(4))
+    circle = _clasp(b, (c2, a2, c1), (c1, b2, c2))
+    frozen = b.freeze()
+    emap = dict(b.last_edge_map)
+    return frozen, emap[circle], emap[a2], emap
 
 
 def _knotify_step(d: LinkDiagram, band: BandSpec):
@@ -444,50 +437,22 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
         merged, circle_edge, emap1 = _clasp_detour(intermediate, emap0[edge])
         emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
         return merged, circle_edge, emap[edge], emap, 1
-    merged, arcs, emap0 = _band_merge_full(d, band)
-    conn_a = arcs[0]
-    last_exc = None
-    for conn_b in arcs[1:]:
-        try:
-            merged2, circle_edge, emap1 = _clasp_insert(merged, conn_a, conn_b)
-        except MalformedPD as exc:
-            last_exc = exc
-            continue
-        emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
-        knot_edge = emap1[conn_a]
-        return merged2, circle_edge, knot_edge, emap, 0
-    raise InternalInvariantError(f"no clasp placement fits the band: {last_exc}")
+    merged, (conn_a, conn_b), emap0 = _band_merge_full(d, band)
+    merged2, circle_edge, emap1 = _clasp_insert(merged, conn_a, conn_b)
+    emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
+    return merged2, circle_edge, emap1[conn_a], emap, 0
 
 
 def _clasp_detour(d: LinkDiagram, edge: int):
     """Split an edge and send it on a detour through a clasping circle:
     the loop-to-edge band merge followed by the surgery circle."""
-    from .errors import MalformedPD
-
-    def build(mirrored: bool):
-        b = _thaw(d)
-        g1, g2 = b.split_edge(edge)
-        a2, b2, c1 = (b.new_edge_id() for _ in range(3))
-        k = [b.new_edge_id() for _ in range(4)]
-        h, t = "h", "t"
-        pattern = [
-            [(g1, h), (k[1], t), (a2, t), (k[0], h)],
-            [(b2, h), (k[1], h), (g2, t), (k[2], t)],
-            [(k[2], h), (c1, h), (k[3], t), (b2, t)],
-            [(k[3], h), (c1, t), (k[0], t), (a2, h)],
-        ]
-        if mirrored:
-            pattern = [[s[0], s[3], s[2], s[1]] for s in pattern]
-        for slots in pattern:
-            b.add_crossing(slots)
-        frozen = b.freeze()
-        emap = dict(b.last_edge_map)
-        return frozen, emap[k[0]], emap
-
-    try:
-        return build(False)
-    except MalformedPD:
-        return build(True)
+    b = _thaw(d)
+    g1, g2 = b.split_edge(edge)
+    a2, b2, c1 = (b.new_edge_id() for _ in range(3))
+    circle = _clasp(b, (g1, a2, c1), (c1, b2, g2))
+    frozen = b.freeze()
+    emap = dict(b.last_edge_map)
+    return frozen, emap[circle], emap
 
 
 def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedLink:

@@ -186,3 +186,28 @@ def test_knotify_explicit_bands_flag(capsys):
     data = json.loads(out)
     assert data["surgery_circles"] == 2
     assert data["winding"] == [0, 0]
+
+
+HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["invariants", "--catalog", "twist_family:abc"], {}, 2),
+    (["knotify", "--catalog", "hopf:+", "--bands", '[[["loop","x"],1]]'], {}, 2),
+    (["check-schoenflies"], {}, 2),
+    (["trace", "{link}"], {"link": {**HOPF_JSON, "framings": ["a", 0]}}, 2),
+    (["batch", "{manifest}"], {"manifest": [{"catalog": "hopf:+"}, 5]}, 0),
+], ids=["catalog-param", "band-arc", "schoenflies-no-input", "json-framings",
+        "manifest-entry"])
+def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = [a.format(**{n: tmp_path / n for n in files}) for a in argv]
+    got, out = run(capsys, *argv)
+    assert got == code
+    if argv[0] == "batch":
+        # the bad entry becomes a failed row; the batch goes on
+        rows = json.loads(out)["rows"]
+        assert [r["ok"] for r in rows] == [True, False]
+    else:
+        assert out == ""

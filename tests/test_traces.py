@@ -13,6 +13,7 @@ from tracekit.errors import (
     InternalInvariantError,
     InvalidBlockFraming,
     MalformedMixedDiagram,
+    MalformedPD,
     NotAPartition,
 )
 
@@ -38,9 +39,12 @@ def test_transport_push_skips_illegal_sites(monkeypatch):
         tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
-def test_transport_push_propagates_internal_errors(monkeypatch):
-    monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(InternalInvariantError))
-    with pytest.raises(InternalInvariantError):
+@pytest.mark.parametrize("error", [InternalInvariantError, MalformedPD])
+def test_transport_push_propagates_internal_errors(monkeypatch, error):
+    # a valid R2 site never builds a non-planar diagram, so MalformedPD
+    # from a push is a bug too
+    monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(error))
+    with pytest.raises(error):
         tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
