@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 4 internal invariant breach (always a bug).  Identical inputs produce
-byte-identical reports; batch rows follow manifest order.  The test
-suite honors TRACEKIT_SEED for reproducing randomized property checks.
+byte-identical reports; batch rows follow manifest order, and a batch
+exits 4 when any row failed outside the input and precondition bands.
+The test suite honors TRACEKIT_SEED for reproducing randomized property
+checks.
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from . import linkdiag, traces
 from .errors import InputError, InternalInvariantError, PreconditionError
@@ -180,15 +183,14 @@ def _cmd_knotify(args) -> int:
 def _cmd_check_sphere(args) -> int:
     d, json_framings = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
-    verdict = traces.homotopy_sphere_candidate(link)
     trace = traces.zero_trace(link)
+    rank, torsion = traces._h1_of(trace)
+    verdict = traces._sphere_verdict(link, trace, (rank, torsion))
     data = {
         "construction": "homotopy-sphere-candidate",
         "verdict": verdict.as_dict(),
         "handles": list(trace.handles),
-        "boundary_h1": dict(zip(("rank", "torsion"),
-                                (traces.boundary_h1(link)[0],
-                                 list(traces.boundary_h1(link)[1])))),
+        "boundary_h1": {"rank": rank, "torsion": list(torsion)},
     }
     _emit(args, _render(args, data))
     return EXIT_OK
@@ -253,30 +255,57 @@ def _cmd_batch(args) -> int:
     if not isinstance(manifest, list):
         raise InputError("manifest must be a list of entries")
     rows = []
-    failures = 0
+    by_band = {"input": 0, "precondition": 0, "internal": 0}
     for entry in manifest:
         label = (entry.get("catalog") or entry.get("file") or "?"
                  if isinstance(entry, dict) else "?")
         try:
-            if not isinstance(entry, dict):
-                raise InputError(f"manifest entry {entry!r} is not an object")
-            if "catalog" in entry:
-                d = _load_catalog(entry["catalog"])
-            else:
-                d, _ = linkdiag.loads(open(entry["file"]).read())
-            report = obstruction_report(d, name=str(label))
+            report = obstruction_report(_load_entry(entry), name=str(label))
             rows.append({"entry": str(label), "ok": True,
                          "report": report.as_dict()})
         except Exception as exc:  # noqa: BLE001  - isolate per-entry failures
-            failures += 1
+            band = _error_band(exc)
+            if band == "internal":
+                traceback.print_exc()  # a bug: keep where it happened
+            by_band[band] += 1
             rows.append({"entry": str(label), "ok": False,
                          "error": f"{type(exc).__name__}: {exc}"})
     data = {
         "rows": rows,
-        "summary": {"entries": len(rows), "failed": failures},
+        "summary": {"entries": len(rows), "failed": sum(by_band.values()),
+                    "by_band": by_band},
     }
     _emit(args, _render(args, data))
+    if by_band["internal"]:
+        print(f"internal invariant breach in {by_band['internal']} batch rows",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
+
+
+def _load_entry(entry) -> LinkDiagram:
+    if not isinstance(entry, dict):
+        raise InputError(f"manifest entry {entry!r} is not an object")
+    if "catalog" in entry:
+        return _load_catalog(str(entry["catalog"]))
+    path = entry.get("file")
+    if not isinstance(path, str):
+        raise InputError(f"manifest entry {entry!r} names no catalog or file")
+    try:
+        text = open(path).read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return linkdiag.loads(text)[0]
+
+
+def _error_band(exc: Exception) -> str:
+    """The exit band of a failed batch row; anything outside the input
+    and precondition bands is a bug."""
+    if isinstance(exc, InputError):
+        return "input"
+    if isinstance(exc, PreconditionError):
+        return "precondition"
+    return "internal"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,9 +24,10 @@ from .errors import (
     InternalInvariantError,
     NotAlternating,
     ParityViolation,
+    PreconditionError,
 )
 from .exactlinalg import congruence_eliminate, det_int, signature_symmetric
-from .linkdiag import LinkDiagram, _pieces, faces, is_alternating, is_connected
+from .linkdiag import LinkDiagram, is_alternating, is_connected
 from .seifert import SeifertData, seifert
 
 
@@ -65,7 +66,7 @@ def _checkerboard_edges(d: LinkDiagram):
     """Edges of the two shading graphs: each crossing joins its opposite
     face corners, (0,2) with weight +1 and (1,3) with weight -1."""
     face_of = {}
-    for i, f in enumerate(faces(d)):
+    for i, f in enumerate(d.face_corners):
         for corner in f:
             face_of[corner] = i
     edges = []
@@ -115,8 +116,8 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, GoeritzData]:
             i, j = index[a], index[b]
             g[i][j] += weight
             g[j][i] += weight
-        for i in range(n):
-            g[i][i] = -sum(g[i][j] for j in range(n) if j != i)
+            g[i][i] -= weight
+            g[j][j] -= weight
         reduced = [row[1:] for row in g[1:]]
         out.append(GoeritzData(tuple(tuple(r) for r in reduced), correction, shading))
     return tuple(out)
@@ -195,7 +196,7 @@ def chi4_g4_convert(ell: int, g_renormalized: int | None = None,
     Returns (the other quantity, slice flag); the flag records chi4 = l,
     which holds exactly for smoothly slice links."""
     if (g_renormalized is None) == (chi4 is None):
-        raise ValueError("pass exactly one of g_renormalized, chi4")
+        raise PreconditionError("pass exactly one of g_renormalized, chi4")
     if g_renormalized is not None:
         chi = ell - 2 * g_renormalized
         return chi, chi == ell
@@ -324,7 +325,7 @@ def split_pieces(d: LinkDiagram) -> list[LinkDiagram]:
     from .linkdiag import _Builder, _thaw
 
     out = []
-    for piece in _pieces(d):
+    for piece in d.pieces:
         b = _thaw(d)
         b.loops = 0
         b.cross = {cid: slots for cid, slots in b.cross.items() if cid in piece}

@@ -19,6 +19,7 @@ structural equality is meaningful and serialization round-trips exactly.
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadComponentIndex,
@@ -49,13 +50,15 @@ class Crossing:
     def over_in_slot(self) -> int:
         return 3 if self.sign > 0 else 1
 
-    @property
-    def over_out_slot(self) -> int:
-        return 1 if self.sign > 0 else 3
-
 
 @dataclass(frozen=True)
 class LinkDiagram:
+    """A frozen diagram.  Its derived structure (edge ends, faces, face
+    walks, pieces, linking) is computed at most once, on first use, and
+    shared by every caller, who must not mutate it.  The memo lives in
+    the instance's ``__dict__``: it is no field, so equality, hashing
+    and serialization ignore it, and it goes away with the diagram."""
+
     crossings: tuple[Crossing, ...]
     components: tuple[tuple[int, ...], ...]
     loops: int = 0
@@ -72,13 +75,11 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
 
+    @cached_property
     def edge_component(self) -> dict[int, int]:
-        out = {}
-        for i, comp in enumerate(self.components):
-            for e in comp:
-                out[e] = i
-        return out
+        return {e: i for i, comp in enumerate(self.components) for e in comp}
 
+    @cached_property
     def occurrences(self) -> dict[int, list[Corner]]:
         occ: dict[int, list[Corner]] = {}
         for c in self.crossings:
@@ -86,31 +87,56 @@ class LinkDiagram:
                 occ.setdefault(e, []).append((c.id, s))
         return occ
 
-    def crossing_by_id(self, cid: int) -> Crossing:
-        return self.crossings[cid]
-
-    def head_of(self, edge: int) -> Corner:
-        """(crossing, slot) where the edge flows into a crossing."""
-        return self._ends()[edge][1]
-
-    def tail_of(self, edge: int) -> Corner:
-        return self._ends()[edge][0]
-
-    def _ends(self) -> dict[int, tuple[Corner, Corner]]:
+    @cached_property
+    def ends(self) -> dict[int, tuple[Corner, Corner]]:
+        """Edge -> (tail corner, head corner)."""
         ends = {}
         for c in self.crossings:
             oi = c.over_in_slot
             for s, e in enumerate(c.edges):
-                is_head = s == 0 or s == oi
                 tail, head = ends.get(e, (None, None))
-                if is_head:
+                if s == 0 or s == oi:
                     ends[e] = (tail, (c.id, s))
                 else:
                     ends[e] = ((c.id, s), head)
         return ends
 
-    def rename(self, name: str | None) -> "LinkDiagram":
-        return LinkDiagram(self.crossings, self.components, self.loops, name)
+    @cached_property
+    def face_corners(self) -> list[list[Corner]]:
+        return faces(self)
+
+    @cached_property
+    def face_walks(self) -> list[list[tuple[int, bool]]]:
+        return face_edge_parities(self)
+
+    @cached_property
+    def pieces(self) -> list[set[int]]:
+        return _pieces(self)
+
+    @cached_property
+    def piece_of(self) -> dict[int, int]:
+        """Crossing id -> index of its connected piece in ``pieces``."""
+        return {cid: i for i, piece in enumerate(self.pieces) for cid in piece}
+
+    @cached_property
+    def linking(self) -> tuple[tuple[int, ...], ...]:
+        """Linking matrix, from one pass over the crossings: each
+        crossing between components i and j adds half its sign."""
+        n = self.num_components
+        twice = [[0] * n for _ in range(n)]
+        ec = self.edge_component
+        for c in self.crossings:
+            i, j = ec[c.edges[0]], ec[c.edges[c.over_in_slot]]
+            if i != j:
+                twice[i][j] += c.sign
+                twice[j][i] += c.sign
+        if any(x % 2 for row in twice for x in row):
+            raise InternalInvariantError("odd inter-component crossing sum")
+        return tuple(tuple(x // 2 for x in row) for row in twice)
+
+    def head_of(self, edge: int) -> Corner:
+        """(crossing, slot) where the edge flows into a crossing."""
+        return self.ends[edge][1]
 
 
 @dataclass(frozen=True)
@@ -216,7 +242,8 @@ class _Builder:
 
     # -- freezing ------------------------------------------------------------
 
-    def _walk_components(self) -> list[list[int]]:
+    def _walk_components(self):
+        """(edge cycles of the components, edge -> head, edge -> tail)."""
         heads: dict[int, Corner] = {}
         tails: dict[int, Corner] = {}
         for cid, slots in self.cross.items():
@@ -242,7 +269,7 @@ class _Builder:
             if e != start:
                 raise InternalInvariantError("component walk did not close")
             comps.append(cyc)
-        return comps
+        return comps, heads, tails
 
     def freeze(self) -> LinkDiagram:
         for cid, slots in self.cross.items():
@@ -261,15 +288,8 @@ class _Builder:
             if n != 1:
                 raise InconsistentEdges(f"edge {e} end {end} used {n} times")
 
-        comps = self._walk_components()
+        comps, heads, tails = self._walk_components()
         comps.sort(key=lambda cyc: min(cyc))
-        heads = {}
-        ends_seen: dict[int, set[int]] = {}
-        for cid, slots in self.cross.items():
-            for s, (e, end) in enumerate(slots):
-                if end == _END_HEAD:
-                    heads[e] = (cid, s)
-                ends_seen.setdefault(e, set()).add(s if s in (0, 2) else -1)
         # canonical renumbering: edges consecutively along components,
         # crossings in order of first touch.  A two-edge component lying
         # entirely over other strands is the one case a bare PD code
@@ -280,7 +300,7 @@ class _Builder:
         cross_map: dict[int, int] = {}
         nxt = 1
         for k, cyc in enumerate(comps):
-            if len(cyc) == 2 and all(ends_seen[e] == {-1} for e in cyc):
+            if len(cyc) == 2 and all(heads[e][1] % 2 and tails[e][1] % 2 for e in cyc):
                 first, second = cyc
                 c_head = heads[first][0]
                 c_tail = heads[second][0]
@@ -329,8 +349,7 @@ def _thaw(d: LinkDiagram) -> _Builder:
 def _pieces(d: LinkDiagram) -> list[set[int]]:
     """Connected pieces of the 4-valent graph, as sets of crossing ids."""
     adj: dict[int, set[int]] = {c.id: set() for c in d.crossings}
-    occ = d.occurrences()
-    for places in occ.values():
+    for places in d.occurrences.values():
         for (c1, _), (c2, _) in zip(places, places[1:]):
             adj[c1].add(c2)
             adj[c2].add(c1)
@@ -352,22 +371,16 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
     return pieces
 
 
-def _piece_index(d: LinkDiagram) -> dict[int, int]:
-    """Crossing id -> index of its connected piece in ``_pieces`` order."""
-    return {cid: i for i, piece in enumerate(_pieces(d)) for cid in piece}
-
-
 def is_connected(d: LinkDiagram) -> bool:
-    return len(_pieces(d)) + d.loops == 1
+    return len(d.pieces) + d.loops == 1
 
 
 def faces(d: LinkDiagram) -> list[list[Corner]]:
     """Complementary regions of the diagram.  Each face is the cyclic
     list of crossing corners met walking its boundary; corner (c, s) is
     the region between slots s and s+1 of crossing c."""
-    occ = d.occurrences()
     partner: dict[Corner, Corner] = {}
-    for places in occ.values():
+    for places in d.occurrences.values():
         if len(places) != 2:
             raise InconsistentEdges(f"edge appears {len(places)} times")
         partner[places[0]] = places[1]
@@ -394,15 +407,11 @@ def faces(d: LinkDiagram) -> list[list[Corner]]:
 def _validate_planarity(d: LinkDiagram):
     if not d.crossings:
         return
-    pieces = _pieces(d)
-    corner_piece = {}
-    for i, piece in enumerate(pieces):
-        for cid in piece:
-            for s in range(4):
-                corner_piece[(cid, s)] = i
+    pieces = d.pieces
+    piece_of = d.piece_of
     per_piece: dict[int, int] = {}
-    for f in faces(d):
-        ids = {corner_piece[c] for c in f}
+    for f in d.face_corners:
+        ids = {piece_of[cid] for cid, _ in f}
         if len(ids) != 1:
             raise InternalInvariantError("face walk crossed connected pieces")
         i = ids.pop()
@@ -420,19 +429,13 @@ def _validate_planarity(d: LinkDiagram):
 def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """For each face, the edges along its boundary walk together with a
     flag: True when the edge is traversed along its own orientation."""
-    tails = {}
-    for c in d.crossings:
-        oi = c.over_in_slot
-        for s, e in enumerate(c.edges):
-            if s != 0 and s != oi:
-                tails[(c.id, s)] = e
     out = []
-    for f in faces(d):
+    for f in d.face_corners:
         walk = []
         for cid, s in f:
             corner = (cid, (s + 1) % 4)
-            e = d.crossings[cid].edges[(s + 1) % 4]
-            walk.append((e, corner in tails and tails[corner] == e))
+            e = d.crossings[cid].edges[corner[1]]
+            walk.append((e, d.ends[e][0] == corner))
         out.append(walk)
     return out
 
@@ -442,7 +445,7 @@ def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
     edges.  Face walks keep their region on the right, so a parity of
     True puts the face to the right of the edge."""
     sides = set()
-    for walk in face_edge_parities(d):
+    for walk in d.face_walks:
         pars_a = [p for e, p in walk if e == a]
         pars_b = [p for e, p in walk if e == b]
         sides.update((x, y) for x in pars_a for y in pars_b)
@@ -648,20 +651,11 @@ def loads(text: str) -> tuple[LinkDiagram, list[int] | None]:
 def mirror(d: LinkDiagram) -> LinkDiagram:
     """Swap over- and under-strands everywhere: all signs negate, the
     components and orientations are untouched."""
-    b = _Builder()
-    b.loops = d.loops
-    b.name = d.name
-    b._next_edge = max(d.edges, default=0) + 1
+    b = _thaw(d)
     for c in d.crossings:
-        oi = c.over_in_slot
-        rot = oi  # old over-in slot becomes the new under-in slot 0
-        slots = []
-        for k in range(4):
-            s = (rot + k) % 4
-            e = c.edges[s]
-            end = _END_HEAD if (s == 0 or s == oi) else _END_TAIL
-            slots.append((e, end))
-        b.add_crossing(slots)
+        # the old over-in slot becomes the new under-in slot 0
+        slots = b.cross[c.id]
+        b.cross[c.id] = slots[c.over_in_slot:] + slots[:c.over_in_slot]
     return b.freeze()
 
 
@@ -670,26 +664,12 @@ def reverse_component(d: LinkDiagram, index: int) -> LinkDiagram:
     if not 0 <= index < len(d.components):
         raise BadComponentIndex(f"no edge component {index}")
     comp = set(d.components[index])
-    b = _Builder()
-    b.loops = d.loops
-    b.name = d.name
-    b._next_edge = max(d.edges, default=0) + 1
-    for c in d.crossings:
-        oi = c.over_in_slot
-        slots = []
-        for s, e in enumerate(c.edges):
-            end = _END_HEAD if (s == 0 or s == oi) else _END_TAIL
-            if e in comp:
-                end = _END_TAIL if end == _END_HEAD else _END_HEAD
-            slots.append((e, end))
-        if slots[0][1] != _END_HEAD:
-            slots = slots[2:] + slots[:2]
-        b.add_crossing(slots)
+    flip = {_END_HEAD: _END_TAIL, _END_TAIL: _END_HEAD}
+    b = _thaw(d)
+    for cid, slots in b.cross.items():
+        slots = [(e, flip[end] if e in comp else end) for e, end in slots]
+        b.cross[cid] = slots if slots[0][1] == _END_HEAD else slots[2:] + slots[:2]
     return b.freeze()
-
-
-def writhe(d: LinkDiagram) -> int:
-    return d.writhe()
 
 
 def _component_of_arc(d: LinkDiagram, arc: Arc) -> int:
@@ -698,7 +678,7 @@ def _component_of_arc(d: LinkDiagram, arc: Arc) -> int:
         if kind != "loop" or not 0 <= k < d.loops:
             raise BadComponentIndex(f"bad loop arc {arc}")
         return len(d.components) + k
-    ec = d.edge_component()
+    ec = d.edge_component
     if arc not in ec:
         raise BadComponentIndex(f"no edge {arc}")
     return ec[arc]
@@ -709,36 +689,22 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     n = d.num_components
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise BadComponentIndex(f"bad component pair ({i}, {j})")
-    ec = d.edge_component()
-    total = 0
-    for c in d.crossings:
-        under = ec[c.edges[0]]
-        over = ec[c.edges[c.over_in_slot]]
-        if {under, over} == {i, j}:
-            total += c.sign
-    if total % 2:
-        raise InternalInvariantError("odd inter-component crossing sum")
-    return total // 2
+    return d.linking[i][j]
 
 
 def linking_matrix(d: LinkDiagram) -> list[list[int]]:
-    n = d.num_components
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i][j] = out[j][i] = linking_number(d, i, j)
-    return out
+    """A fresh copy of the linking matrix, free for the caller to edit."""
+    return [list(row) for row in d.linking]
 
 
 def total_linking(d: LinkDiagram) -> int:
-    n = d.num_components
-    return sum(linking_number(d, i, j) for i in range(n) for j in range(i + 1, n))
+    return sum(x for i, row in enumerate(d.linking) for x in row[i + 1:])
 
 
 def is_alternating(d: LinkDiagram) -> bool:
     """True when every strand alternates over/under passes; crossing-free
     components are vacuously alternating."""
-    for e, (tail, head) in d._ends().items():
+    for tail, head in d.ends.values():
         tail_over = tail[1] != 2
         head_over = head[1] != 0
         if tail_over == head_over:
@@ -751,8 +717,7 @@ def is_alternating(d: LinkDiagram) -> bool:
 # ---------------------------------------------------------------------------
 
 def _same_piece(d: LinkDiagram, a: int, b: int) -> bool:
-    piece_of = _piece_index(d)
-    return piece_of[d.head_of(a)[0]] == piece_of[d.head_of(b)[0]]
+    return d.piece_of[d.head_of(a)[0]] == d.piece_of[d.head_of(b)[0]]
 
 
 def band_merge(d: LinkDiagram, band: BandSpec) -> LinkDiagram:
@@ -891,7 +856,7 @@ def _r1_insert(d: LinkDiagram, arc: Arc, chirality: int, flavor: int) -> LinkDia
         e1 = e2 = g
         f = b.new_edge_id()
     else:
-        if arc not in d.edge_component():
+        if arc not in d.edge_component:
             raise IllegalSite(f"no edge {arc}")
         e1, e2 = b.split_edge(arc)
         f = b.new_edge_id()
@@ -941,8 +906,7 @@ def _r2_insert(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
 
 def _r2_insert_mapped(d: LinkDiagram, over: int, under: int):
     """R2 push returning (diagram, old edge -> new edge map)."""
-    edges = set(d.edge_component())
-    if over not in edges or under not in edges:
+    if over not in d.edge_component or under not in d.edge_component:
         raise IllegalSite("R2 site edges missing")
     if over == under:
         raise IllegalSite("R2 needs two distinct arcs")
@@ -987,7 +951,7 @@ def _r2_insert_loop(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
     kind, k = over
     if kind != "loop" or not 0 <= k < d.loops or isinstance(under, tuple):
         raise IllegalSite(f"bad loop R2 site ({over}, {under})")
-    if under not in d.edge_component():
+    if under not in d.edge_component:
         raise IllegalSite(f"no edge {under}")
     # a loop pushed over one strand is a 1-1 tangle, planar either way round
     b = _thaw(d)
@@ -1006,7 +970,7 @@ def _r2_remove(d: LinkDiagram, c1: int, c2: int) -> LinkDiagram:
     n = len(d.crossings)
     if not (0 <= c1 < n and 0 <= c2 < n) or c1 == c2:
         raise IllegalSite(f"bad crossing pair ({c1}, {c2})")
-    for f in faces(d):
+    for f in d.face_corners:
         if len(f) != 2:
             continue
         ids = {f[0][0], f[1][0]}
@@ -1079,7 +1043,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     n = d.num_components
     if not keep or any(not 0 <= i < n for i in keep):
         raise BadComponentIndex(f"bad component set {sorted(keep)}")
-    ec = d.edge_component()
+    ec = d.edge_component
     b = _thaw(d)
     b.loops = sum(1 for i in keep if i >= len(d.components))
     rename: dict[int, int] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DisconnectedDiagram, InternalInvariantError
-from .linkdiag import LinkDiagram, face_edge_parities, is_connected, r_moves
+from .linkdiag import LinkDiagram, is_connected, r_moves
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _admissible_site(d: LinkDiagram) -> tuple[int, int] | None:
     """A face carrying arcs of two distinct Seifert circles with the same
     boundary-walk parity admits a coherence-restoring R2 push."""
     circ = _circle_of_edge(seifert_circles(d))
-    for walk in face_edge_parities(d):
+    for walk in d.face_walks:
         for i, (e1, p1) in enumerate(walk):
             for e2, p2 in walk[i + 1:]:
                 if p1 == p2 and circ[e1] != circ[e2]:
@@ -147,14 +147,7 @@ def braid_word(d: LinkDiagram) -> tuple[list[int], int]:
     level = {c: i for i, c in enumerate(order)}
 
     # crossings along each circle, in the circle's cyclic walk order
-    heads = {}
-    for c in d.crossings:
-        oi = c.over_in_slot
-        heads[c.edges[0]] = c.id
-        heads[c.edges[oi]] = c.id
-    circle_walk = []
-    for cyc in circles:
-        circle_walk.append([heads[e] for e in cyc])
+    circle_walk = [[d.head_of(e)[0] for e in cyc] for cyc in circles]
 
     # assign angular sort keys: integer positions along the innermost
     # circle, then interpolate outward through shared crossings

@@ -33,9 +33,8 @@ from .linkdiag import (
     LinkDiagram,
     _band_merge_full,
     _face_sides,
-    _piece_index,
+    _same_piece,
     _thaw,
-    face_edge_parities,
     linking_matrix,
     linking_number,
     mirror,
@@ -204,8 +203,12 @@ def zero_trace(link: FramedLink, provenance: str = "trace") -> HandleDecompositi
 def boundary_h1(link: FramedLink) -> tuple[int, tuple[int, ...]]:
     """H1 of the surgered boundary 3-manifold: the cokernel of Q as
     (free rank, torsion coefficients)."""
-    trace = zero_trace(link)
-    return cokernel([list(r) for r in trace.q], ambient_rank=link.components)
+    return _h1_of(zero_trace(link))
+
+
+def _h1_of(trace: HandleDecomposition) -> tuple[int, tuple[int, ...]]:
+    """The cokernel of a 0-trace's Q."""
+    return cokernel([list(r) for r in trace.q], ambient_rank=len(trace.q))
 
 
 def planar_framing_valid(link: FramedLink) -> bool:
@@ -290,10 +293,10 @@ def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
 def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     """Lexicographically first coherent untwisted band between distinct
     components of ``comps``, when one exists without moving any arcs."""
-    ec = d.edge_component()
+    ec = d.edge_component
     n_edge_comps = len(d.components)
     pairs = []
-    for walk in face_edge_parities(d):
+    for walk in d.face_walks:
         for i, (e1, p1) in enumerate(walk):
             for e2, p2 in walk[i + 1:]:
                 if p1 != p2 or ec[e1] == ec[e2]:
@@ -311,12 +314,10 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
             return BandSpec(loop_arc, d.components[edge_comps[0]][0])
         return BandSpec(loop_arc, ("loop", loop_comps[1] - n_edge_comps))
     # components in different connected pieces can always be joined
-    piece_of = _piece_index(d)
-    reps = [(c, d.components[c][0]) for c in edge_comps]
-    for i, (c1, e1) in enumerate(reps):
-        p1 = piece_of[d.head_of(e1)[0]]
-        for c2, e2 in reps[i + 1:]:
-            if piece_of[d.head_of(e2)[0]] != p1:
+    reps = [d.components[c][0] for c in edge_comps]
+    for i, e1 in enumerate(reps):
+        for e2 in reps[i + 1:]:
+            if not _same_piece(d, e1, e2):
                 return BandSpec(*sorted((e1, e2)))
     return None
 
@@ -329,14 +330,12 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     orientations: each push moves an arc one face closer (faces adjacent
     across the edge being crossed), and a final push over the target arc
     itself creates a coherent site inside the clasp."""
-    from .linkdiag import _r2_insert_mapped, faces
+    from .linkdiag import _r2_insert_mapped
 
-    ec = d.edge_component()
+    ec = d.edge_component
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
-    face_edges = []
-    for f in faces(d):
-        face_edges.append({d.crossings[cid].edges[(s + 1) % 4] for cid, s in f})
+    face_edges = [{e for e, _ in walk} for walk in d.face_walks]
     nfaces = len(face_edges)
     dist = [None] * nfaces
     via: list[int | None] = [None] * nfaces
@@ -390,7 +389,7 @@ def _merge_step_auto(d: LinkDiagram, comps: set[int]):
             reps[c] = d.components[c][0]
     nloops = sum(1 for c in comps if c >= len(d.components))
     for _ in range(4 * len(d.crossings) + 12):
-        ec = d.edge_component()
+        ec = d.edge_component
         cur_comps = {ec[total[e]] for e in reps.values()}
         for off in range(nloops):
             cur_comps.add(len(d.components) + off)
@@ -471,7 +470,7 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
     circle_edges: list[int] = []
     cur = d
     for step in range(ell - 1):
-        ec = cur.edge_component()
+        ec = cur.edge_component
         taken = {ec[e] for e in circle_edges}
         if bands is not None:
             band = bands[step]
@@ -491,7 +490,7 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
         emap = {e: step_map[v] for e, v in emap.items() if v in step_map}
         circle_edges = [step_map[e] for e in circle_edges]
         circle_edges.append(circle_edge)
-    ec = cur.edge_component()
+    ec = cur.edge_component
     circle_comps = sorted(ec[e] for e in circle_edges)
     if len(set(circle_comps)) != ell - 1:
         raise InternalInvariantError("wrong number of surgery circles")
@@ -553,7 +552,7 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
 
     for bi, block in enumerate(part.blocks):
         while True:
-            ec = cur.edge_component()
+            ec = cur.edge_component
             comps_now = {ec[e] for e in block_edges[bi]}
             if len(comps_now) + block_loops[bi] <= 1:
                 break
@@ -570,7 +569,7 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
             circle_edges[bi].append(circle_edge)
             block_edges[bi].append(knot_edge)
 
-    ec = cur.edge_component()
+    ec = cur.edge_component
     knot_comp: dict[int, int] = {}
     loop_cursor = len(cur.components)
     for bi in range(part.block_count):
@@ -664,8 +663,15 @@ def homotopy_sphere_candidate(link: FramedLink) -> TraceVerdict:
     4-sphere: all framings zero and Q = 0, so that the boundary has free
     first homology of full rank.  Passing never decides the boundary's
     diffeomorphism type."""
-    n = link.components
     trace = zero_trace(link)
+    return _sphere_verdict(link, trace, _h1_of(trace))
+
+
+def _sphere_verdict(link: FramedLink, trace: HandleDecomposition,
+                    boundary: tuple[int, tuple[int, ...]]) -> TraceVerdict:
+    """``homotopy_sphere_candidate`` given the link's 0-trace and its
+    boundary H1."""
+    n = link.components
     checks = []
     failures = []
     if all(t == 0 for t in link.framings):
@@ -676,7 +682,7 @@ def homotopy_sphere_candidate(link: FramedLink) -> TraceVerdict:
         checks.append("framing-linking matrix Q vanishes")
     else:
         failures.append("Q is nonzero")
-    rank, torsion = cokernel([list(r) for r in trace.q], ambient_rank=n)
+    rank, torsion = boundary
     if rank == n and not torsion:
         checks.append(f"H1 of the boundary is free of rank {n}")
     else:

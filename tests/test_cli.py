@@ -4,6 +4,7 @@ import pytest
 
 from tracekit import cli
 from tracekit import linkdiag as ld
+from tracekit.errors import InternalInvariantError
 
 
 def run(capsys, *argv):
@@ -145,7 +146,37 @@ def test_batch_isolation_and_order(tmp_path, capsys):
     assert [r["ok"] for r in data["rows"]] == [True, True, False, True]
     taus = [r["report"]["tau"] for r in data["rows"] if r["ok"]]
     assert taus == [2, 2, 2]
-    assert data["summary"] == {"entries": 4, "failed": 1}
+    assert data["summary"] == {
+        "entries": 4, "failed": 1,
+        "by_band": {"input": 0, "precondition": 1, "internal": 0}}
+
+
+@pytest.mark.parametrize("error", [InternalInvariantError("boom"),
+                                   ZeroDivisionError("boom")])
+def test_batch_internal_row_exits_4(tmp_path, capsys, monkeypatch, error):
+    real = cli.obstruction_report
+
+    def report(d, name=None):
+        if name == "figure8":
+            raise error
+        return real(d, name=name)
+
+    monkeypatch.setattr(cli, "obstruction_report", report)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"catalog": "trefoil:+"}, {"catalog": "figure8"}, {"catalog": "nope"},
+        {"file": str(tmp_path / "missing.json")}, {"catalog": "hopf:+"}]}))
+    code = cli.main(["batch", str(manifest)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert f"{type(error).__name__}: boom" in err  # the row's traceback
+    data = json.loads(out)
+    # the rows after the failing one still run
+    assert [r["ok"] for r in data["rows"]] == [True, False, False, False, True]
+    assert data["rows"][1]["error"] == f"{type(error).__name__}: boom"
+    assert data["summary"] == {
+        "entries": 5, "failed": 3,
+        "by_band": {"input": 1, "precondition": 1, "internal": 1}}
 
 
 def test_batch_determinism(tmp_path, capsys):

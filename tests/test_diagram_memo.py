@@ -1,0 +1,85 @@
+"""Each frozen diagram derives its faces, pieces and linking once.
+
+``freeze`` walks the faces and builds the pieces for its planarity
+check, and every later reader takes them from the diagram's memo.  So
+over any run, ``faces`` and ``_pieces`` run at most once per freeze, and
+no caller may change what the memo holds.
+"""
+
+import itertools
+
+import pytest
+
+from test_face_chirality import _corpus, _edge_pairs
+from tracekit import linkdiag as ld
+from tracekit import traces as tr
+from tracekit.invariants import obstruction_report
+
+MEMOS = ("edge_component", "occurrences", "ends", "face_corners", "face_walks",
+         "pieces", "piece_of", "linking")
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return [(d, _edge_pairs(d)) for d in _corpus()]
+
+
+def _exercise(d, pairs):
+    """knotify, a high-order trace, the invariant report and R2 pushes."""
+    n = d.num_components
+    tr.knotify(tr.FramedLink(d, (0,) * n))
+    if n >= 2:
+        part = tr.WeightedPartition.of([range(0, n, 2), range(1, n, 2)], [1, 0], n)
+        lk = ld.linking_matrix(d)
+        framings = [0] * n
+        for block in part.blocks:
+            framings[block[-1]] = -2 * sum(lk[i][j] for i, j in
+                                           itertools.combinations(block, 2))
+        tr.high_order_trace(tr.FramedLink(d, tuple(framings)), part)
+    obstruction_report(d)
+    for over, under in pairs:
+        ld.r_moves(d, "R2+", (over, under))
+
+
+def _counting(calls, name, fn):
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapped
+
+
+def test_faces_and_pieces_run_at_most_once_per_freeze(monkeypatch, corpus):
+    calls = {"faces": 0, "_pieces": 0, "freeze": 0}
+    for name in ("faces", "_pieces"):
+        monkeypatch.setattr(ld, name, _counting(calls, name, getattr(ld, name)))
+    monkeypatch.setattr(ld._Builder, "freeze",
+                        _counting(calls, "freeze", ld._Builder.freeze))
+    for d, pairs in corpus:
+        _exercise(d, pairs)
+    assert calls["freeze"] > 1000, calls
+    assert calls["faces"] <= calls["freeze"]
+    assert calls["_pieces"] <= calls["freeze"]
+
+
+def test_memo_is_never_mutated(corpus):
+    for d, _ in corpus:
+        for attr in MEMOS:
+            getattr(d, attr)
+    for d, pairs in corpus:
+        _exercise(d, pairs)
+    for d, _ in corpus:
+        fresh = ld.LinkDiagram(d.crossings, d.components, d.loops, d.name)
+        assert fresh == d and not set(MEMOS) & set(fresh.__dict__)
+        for attr in MEMOS:
+            assert d.__dict__[attr] == getattr(fresh, attr), attr
+        assert fresh.face_corners == ld.faces(fresh)
+        assert fresh.face_walks == ld.face_edge_parities(fresh)
+        assert fresh.pieces == ld._pieces(fresh)
+
+
+def test_linking_matrix_is_a_fresh_copy():
+    d = ld.catalog("hopf", "+")
+    m = ld.linking_matrix(d)
+    m[0][0] = 7
+    assert ld.linking_matrix(d) == [[0, 1], [1, 0]]
+    assert d.linking == ((0, 1), (1, 0))

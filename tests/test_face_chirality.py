@@ -120,7 +120,7 @@ def _edge_pairs(d):
 
 
 def _band_sites(d, pairs):
-    ec = d.edge_component()
+    ec = d.edge_component
     return [(a, b) for a, b in pairs if ec[a] != ec[b]]
 
 

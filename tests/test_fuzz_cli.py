@@ -1,0 +1,111 @@
+"""Fuzzing the command line with random PD input.
+
+Every command must answer a random diagram with a report or a clean
+input/precondition error: no traceback, and exit code 0, 2 or 3.  The
+inputs are PD JSON and PD text of at most 6 crossings, some of them
+valid braid closures and some perturbed or random, with random loop
+counts, framings, dotted lists and ``--bands`` values.  Sizes stay small
+because reports grow quadratically with the component count.  The run is
+seeded from TRACEKIT_SEED.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from conftest import base_seed
+from tracekit import cli
+from tracekit import linkdiag as ld
+
+MAX_CROSSINGS = 6
+COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
+            "check-schoenflies")
+
+
+@st.composite
+def pd_rows(draw):
+    """A list of PD 4-tuples: a braid closure, perhaps with one entry
+    changed, or random edge ids."""
+    n = draw(st.integers(0, MAX_CROSSINGS))
+    if draw(st.booleans()):
+        strands = draw(st.integers(2, 4))
+        letters = st.integers(1, strands - 1).flatmap(
+            lambda i: st.sampled_from([i, -i]))
+        word = draw(st.lists(letters, max_size=n))
+        rows = [list(c.edges) for c in ld.from_braid(word, strands).crossings]
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][draw(st.integers(0, 3))] = draw(st.integers(0, 2 * n + 1))
+        return rows
+    edge = st.integers(0, 2 * n + 1)
+    return draw(st.lists(st.lists(edge, min_size=3, max_size=5), max_size=n))
+
+
+arcs = st.one_of(st.integers(0, 14),
+                 st.tuples(st.sampled_from(["loop", "x"]), st.integers(-1, 3)).map(list))
+bands = st.one_of(
+    st.none(),
+    st.lists(st.tuples(arcs, arcs, st.integers(-3, 3)).map(list), max_size=3).map(json.dumps),
+    st.text(max_size=8),
+)
+framing_lists = st.lists(st.integers(-5, 5), max_size=5)
+cli_framings = st.one_of(st.none(), framing_lists.map(lambda f: ",".join(map(str, f))),
+                         st.text(max_size=6))
+
+
+@st.composite
+def inputs(draw):
+    """(file name, file text, extra command-line options)."""
+    rows = draw(pd_rows())
+    loops = draw(st.integers(-2, 3))
+    if draw(st.booleans()):
+        data = {"pd": rows, "loops": loops}
+        for key, values in (("framings", framing_lists), ("dotted", st.lists(
+                st.integers(-1, 5), max_size=3))):
+            if draw(st.booleans()):
+                data[key] = draw(values)
+        name, text = "link.json", json.dumps(data)
+    else:
+        tuples = [f"X({','.join(map(str, r))})" for r in rows]
+        name, text = "link.txt", ", ".join(tuples + ["O"] * max(loops, 0))
+    opts = {"--framings": draw(cli_framings), "--bands": draw(bands)}
+    return name, text, opts
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@seed(base_seed())
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=inputs())
+def test_commands_never_crash_on_random_pd(workdir, case):
+    name, text, opts = case
+    path = workdir / name
+    path.write_text(text)
+    for command in COMMANDS:
+        argv = [command, str(path)]
+        if command not in ("parse", "invariants"):
+            if opts["--framings"] is not None:
+                argv.append(f"--framings={opts['--framings']}")
+        if command == "knotify" and opts["--bands"] is not None:
+            argv.append(f"--bands={opts['--bands']}")
+        code, err = run_cli(argv)
+        assert "Traceback" not in err, (argv, text)
+        assert code in (0, 2, 3), (argv, text, err)

@@ -4,7 +4,12 @@ import pytest
 
 from conftest import random_connected_diagram
 from tracekit import linkdiag as ld
-from tracekit.errors import DisconnectedDiagram, InternalInvariantError, NotAlternating
+from tracekit.errors import (
+    DisconnectedDiagram,
+    InternalInvariantError,
+    NotAlternating,
+    PreconditionError,
+)
 from tracekit.invariants import (
     NO_OBSTRUCTION,
     OBSTRUCTION_FOUND,
@@ -142,6 +147,13 @@ def test_chi4_g4_conversion():
     assert chi4_g4_convert(2, chi4=0) == (1, False)
     assert chi4_g4_convert(3, chi4=3) == (0, True)
     assert chi4_g4_convert(2, g_renormalized=1) == (0, False)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"g_renormalized": 0, "chi4": 2}])
+def test_chi4_g4_convert_wants_exactly_one_quantity(kwargs):
+    # a precondition violation (exit 3), not a bare ValueError
+    with pytest.raises(PreconditionError, match="exactly one"):
+        chi4_g4_convert(2, **kwargs)
 
 
 def test_chi4_identity_roundtrip(rng):

@@ -193,7 +193,7 @@ def test_band_merge_decreases_components_and_keeps_signs(rng):
         d = random_connected_diagram(rng)
         if d.num_components < 2:
             continue
-        ec = d.edge_component()
+        ec = d.edge_component
         found = None
         for walk in ld.face_edge_parities(d):
             for i, (e1, p1) in enumerate(walk):
