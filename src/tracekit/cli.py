@@ -1,7 +1,8 @@
 """Command-line front end: JSON-first reports over the library.
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 internal invariant breach (always a bug).  Identical inputs produce
+4 internal invariant breach or any exception from outside the library's
+error hierarchy (always a bug).  Identical inputs produce
 byte-identical reports; batch rows follow manifest order, and a batch
 exits 4 when any row failed outside the input and precondition bands.
 The test suite honors TRACEKIT_SEED for reproducing randomized property
@@ -154,7 +155,7 @@ def _cmd_trace(args) -> int:
         payload = traces.trace_json(h)
     else:
         h = traces.zero_trace(link)
-        payload = traces.trace_json(h, boundary=traces.boundary_h1(link))
+        payload = traces.trace_json(h, boundary=traces._h1_of(h))
     if args.format == "table":
         payload = _as_table(json.loads(payload))
     _emit(args, payload)
@@ -379,6 +380,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # noqa: BLE001  - anything else is a bug
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -43,12 +43,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
-
-
 def det_int(m: IntMatrix) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination.  det([]) == 1 so empty forms behave like rank-0 lattices."""

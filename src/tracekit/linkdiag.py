@@ -173,7 +173,6 @@ class _Builder:
     """
 
     last_edge_map: dict[int, int]
-    last_cross_map: dict[int, int]
 
     def __init__(self):
         self.cross: dict[int, list[tuple[int, str] | None]] = {}
@@ -215,11 +214,12 @@ class _Builder:
         self.set_slot(head, (e2, _END_HEAD))
         return edge, e2
 
-    def smooth_crossing(self, cid: int):
-        """Delete a crossing, regluing both strands straight through.
-        This implements R1/R2 removals once the pattern is verified."""
-        slots = self.cross.pop(cid)
-        over_in = next(s for s in (1, 3) if slots[s][1] == _END_HEAD)
+    def smooth(self, cids, kept=None):
+        """Delete the given crossings, regluing their strands straight
+        through; with ``kept``, only the strands whose edges are in it
+        (the other strands are being deleted whole).  A strand that closes
+        up becomes a crossing-free loop.  This implements R1/R2 removals
+        and sublinks."""
         rename: dict[int, int] = {}
 
         def find(e: int) -> int:
@@ -227,13 +227,18 @@ class _Builder:
                 e = rename[e]
             return e
 
-        for in_slot, out_slot in ((0, 2), (over_in, 4 - over_in)):
-            a = find(slots[in_slot][0])
-            b = find(slots[out_slot][0])
-            if a == b:
-                self.loops += 1  # strand closes into a crossing-free loop
-            else:
-                rename[b] = a
+        for cid in cids:
+            slots = self.cross.pop(cid)
+            over_in = 1 if slots[1][1] == _END_HEAD else 3
+            for in_slot in (0, over_in):
+                if kept is not None and slots[in_slot][0] not in kept:
+                    continue
+                a = find(slots[in_slot][0])
+                z = find(slots[(in_slot + 2) % 4][0])
+                if a == z:
+                    self.loops += 1
+                else:
+                    rename[z] = a
         for other in self.cross.values():
             for s, (e, end) in enumerate(other):
                 r = find(e)
@@ -322,7 +327,6 @@ class _Builder:
             crossings.append(Crossing(cross_map[cid], edges, sign))
         components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
         self.last_edge_map = edge_map
-        self.last_cross_map = cross_map
         diagram = LinkDiagram(tuple(crossings), components, self.loops, self.name)
         _validate_planarity(diagram)
         if diagram.num_components < 1:
@@ -894,7 +898,7 @@ def _r1_remove(d: LinkDiagram, cid: int) -> LinkDiagram:
     if _kink_pattern(d, cid) is None:
         raise IllegalSite(f"crossing {cid} is not a kink")
     b = _thaw(d)
-    b.smooth_crossing(cid)
+    b.smooth([cid])
     return b.freeze()
 
 
@@ -984,8 +988,7 @@ def _r2_remove(d: LinkDiagram, c1: int, c2: int) -> LinkDiagram:
         if d.crossings[c1].sign == d.crossings[c2].sign:
             raise InternalInvariantError("R2 bigon with equal signs")
         b = _thaw(d)
-        b.smooth_crossing(c1)
-        b.smooth_crossing(c2)
+        b.smooth([c1, c2])
         return b.freeze()
     raise IllegalSite(f"crossings ({c1}, {c2}) do not bound a cancellable bigon")
 
@@ -1046,35 +1049,9 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     ec = d.edge_component
     b = _thaw(d)
     b.loops = sum(1 for i in keep if i >= len(d.components))
-    rename: dict[int, int] = {}
-
-    def find(e):
-        while e in rename:
-            e = rename[e]
-        return e
-
-    for cid in list(b.cross):
-        slots = b.cross[cid]
-        over_in = 1 if slots[1][1] == _END_HEAD else 3
-        under_kept = ec[slots[0][0]] in keep
-        over_kept = ec[slots[over_in][0]] in keep
-        if under_kept and over_kept:
-            continue
-        del b.cross[cid]
-        for in_slot, out_slot, kept in ((0, 2, under_kept), (over_in, 4 - over_in, over_kept)):
-            if not kept:
-                continue
-            a = find(slots[in_slot][0])
-            z = find(slots[out_slot][0])
-            if a == z:
-                b.loops += 1
-            else:
-                rename[z] = a
-    for slots in b.cross.values():
-        for s, (e, end) in enumerate(slots):
-            r = find(e)
-            if r != e:
-                slots[s] = (r, end)
+    b.smooth([c.id for c in d.crossings
+              if not (ec[c.edges[0]] in keep and ec[c.edges[1]] in keep)],
+             {e for e in d.edges if ec[e] in keep})
     return b.freeze()
 
 

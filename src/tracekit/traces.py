@@ -288,8 +288,6 @@ def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
     return emap[arc]
 
 
-
-
 def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     """Lexicographically first coherent untwisted band between distinct
     components of ``comps``, when one exists without moving any arcs."""
@@ -336,9 +334,12 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
     face_edges = [{e for e, _ in walk} for walk in d.face_walks]
-    nfaces = len(face_edges)
-    dist = [None] * nfaces
-    via: list[int | None] = [None] * nfaces
+    faces_of: dict[int, list[int]] = {}
+    for i, es in enumerate(face_edges):
+        for e in es:
+            faces_of.setdefault(e, []).append(i)
+    dist = [None] * len(face_edges)
+    via: list[int | None] = [None] * len(face_edges)
     frontier = []
     for i, es in enumerate(face_edges):
         if any(ec[e] in targets for e in es):
@@ -348,8 +349,8 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
         nxt = []
         for i in frontier:
             for e in face_edges[i]:
-                for j in range(nfaces):
-                    if dist[j] is None and e in face_edges[j]:
+                for j in faces_of[e]:
+                    if dist[j] is None:
                         dist[j] = dist[i] + 1
                         via[j] = e
                         nxt.append(j)
@@ -378,80 +379,92 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     raise BadBands(f"components {sorted(comps)} cannot be band-connected")
 
 
-def _merge_step_auto(d: LinkDiagram, comps: set[int]):
-    """Band-and-clasp one pair of the requested components, transporting
-    an arc with R2 pushes first when necessary.  Returns the same tuple
-    as _knotify_step with the edge map composed over all moves."""
-    total = {e: e for e in d.edges}
-    reps = {}
-    for c in sorted(comps):
-        if c < len(d.components):
-            reps[c] = d.components[c][0]
-    nloops = sum(1 for c in comps if c >= len(d.components))
-    for _ in range(4 * len(d.crossings) + 12):
-        ec = d.edge_component
-        cur_comps = {ec[total[e]] for e in reps.values()}
-        for off in range(nloops):
-            cur_comps.add(len(d.components) + off)
-        band = _direct_band(d, cur_comps)
-        if band is not None:
-            d2, circle_edge, knot_edge, emap, loops_used = _knotify_step(d, band)
-            total = {e: emap[v] for e, v in total.items() if v in emap}
-            return d2, circle_edge, knot_edge, total, loops_used
-        d, push_map = _transport_push(d, cur_comps)
-        total = {e: push_map[v] for e, v in total.items() if v in push_map}
-    raise BadBands(f"band transport did not converge for {sorted(comps)}")
-
-
-def _clasped_unknot(d: LinkDiagram):
-    """Replace two crossing-free loops by their banded merge clasped by
-    a surgery circle: a 4-crossing pattern of an unknot through a
-    0-framed circle.  Returns (diagram, circle edge, knot edge, map)."""
-    b = _thaw(d)
-    b.loops -= 2
-    a2, b2, c1, c2 = (b.new_edge_id() for _ in range(4))
-    circle = _clasp(b, (c2, a2, c1), (c1, b2, c2))
-    frozen = b.freeze()
-    emap = dict(b.last_edge_map)
-    return frozen, emap[circle], emap[a2], emap
-
-
 def _knotify_step(d: LinkDiagram, band: BandSpec):
     """One band merge plus clasping circle.  Returns (diagram, circle
     edge id, merged-component representative edge, old-edge map, loops
     consumed)."""
     loop_a = isinstance(band.arc_a, tuple)
     loop_b = isinstance(band.arc_b, tuple)
-    if loop_a and loop_b:
-        if band.arc_a[1] == band.arc_b[1]:
-            raise SameComponent("band endpoints on one loop")
-        merged, circle_edge, knot_edge, emap = _clasped_unknot(d)
-        return merged, circle_edge, knot_edge, emap, 2
-    if loop_a or loop_b:
-        edge = band.arc_b if loop_a else band.arc_a
-        b = _thaw(d)
-        b.loops -= 1
-        intermediate = b.freeze()
-        emap0 = dict(b.last_edge_map)
-        merged, circle_edge, emap1 = _clasp_detour(intermediate, emap0[edge])
+    if not (loop_a or loop_b):
+        merged, (conn_a, conn_b), emap0 = _band_merge_full(d, band)
+        merged2, circle_edge, emap1 = _clasp_insert(merged, conn_a, conn_b)
         emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
-        return merged, circle_edge, emap[edge], emap, 1
-    merged, (conn_a, conn_b), emap0 = _band_merge_full(d, band)
-    merged2, circle_edge, emap1 = _clasp_insert(merged, conn_a, conn_b)
-    emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
-    return merged2, circle_edge, emap1[conn_a], emap, 0
-
-
-def _clasp_detour(d: LinkDiagram, edge: int):
-    """Split an edge and send it on a detour through a clasping circle:
-    the loop-to-edge band merge followed by the surgery circle."""
+        return merged2, circle_edge, emap1[conn_a], emap, 0
+    if loop_a and loop_b and band.arc_a[1] == band.arc_b[1]:
+        raise SameComponent("band endpoints on one loop")
+    # a band from a bare loop: the loop's strand (a2, c1, b2) detours
+    # through the clasp, spliced into the other arc, or closed up by a
+    # fresh strand edge when the other end is a loop too
+    used = 2 if loop_a and loop_b else 1
     b = _thaw(d)
-    g1, g2 = b.split_edge(edge)
+    b.loops -= used
     a2, b2, c1 = (b.new_edge_id() for _ in range(3))
+    if used == 2:
+        g1 = g2 = b.new_edge_id()
+    else:
+        g1, g2 = b.split_edge(band.arc_b if loop_a else band.arc_a)
     circle = _clasp(b, (g1, a2, c1), (c1, b2, g2))
-    frozen = b.freeze()
+    merged = b.freeze()
     emap = dict(b.last_edge_map)
-    return frozen, emap[circle], emap
+    return merged, emap[circle], emap[a2], emap, used
+
+
+def _knotify_blocks(d: LinkDiagram, blocks):
+    """Knotify every block of component indices inside the one diagram:
+    band each block's components into one knot, pushing an arc across
+    with R2 moves while no band fits, and clasp every band with a
+    0-framed surgery circle.  Returns (diagram, circle edges per block,
+    knot component per block).  Blocks are tracked by representative
+    edges of their components, bare loops by count (crossing-free
+    circles are interchangeable); only those and the circle edges are
+    remapped after each move."""
+    nedge = len(d.components)
+    reps = [[d.components[i][0] for i in block if i < nedge] for block in blocks]
+    loops = [sum(1 for i in block if i >= nedge) for block in blocks]
+    circles: list[list[int]] = [[] for _ in blocks]
+
+    def remap(emap):
+        for lst in reps:
+            lst[:] = [emap[e] for e in lst if e in emap]
+        for lst in circles:
+            lst[:] = [emap[e] for e in lst]
+
+    def candidates(bi):
+        ec = d.edge_component
+        return ({ec[e] for e in reps[bi]}
+                | {len(d.components) + k for k in range(loops[bi])})
+
+    for bi in range(len(blocks)):
+        while len(comps := candidates(bi)) > 1:
+            for _ in range(4 * len(d.crossings) + 12):
+                band = _direct_band(d, comps)
+                if band is not None:
+                    break
+                d, push_map = _transport_push(d, comps)
+                remap(push_map)
+                comps = candidates(bi)
+            else:
+                raise BadBands(f"band transport did not converge for {sorted(comps)}")
+            d, circle_edge, knot_edge, step_map, loops_used = _knotify_step(d, band)
+            remap(step_map)
+            loops[bi] -= loops_used
+            circles[bi].append(circle_edge)
+            reps[bi].append(knot_edge)
+
+    ec = d.edge_component
+    knots = []
+    loop_cursor = len(d.components)
+    for bi in range(len(blocks)):
+        if reps[bi]:
+            knots.append(ec[reps[bi][0]])
+        else:
+            # the block knotified to a bare loop (or was one); bare loops
+            # are interchangeable, so hand out positions in block order
+            if loops[bi] != 1:
+                raise InternalInvariantError("block lost its loop count")
+            knots.append(loop_cursor)
+            loop_cursor += 1
+    return d, circles, knots
 
 
 def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedLink:
@@ -464,16 +477,17 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
     persist through merges as their tail halves)."""
     d = link.diagram
     ell = link.components
-    if bands is not None and len(bands) != ell - 1:
+    if bands is None:
+        cur, (circle_edges,), _ = _knotify_blocks(d, [range(ell)])
+    elif len(bands) != ell - 1:
         raise BadBands(f"need {ell - 1} bands, got {len(bands)}")
-    emap = {e: e for e in d.edges}
-    circle_edges: list[int] = []
-    cur = d
-    for step in range(ell - 1):
-        ec = cur.edge_component
-        taken = {ec[e] for e in circle_edges}
-        if bands is not None:
-            band = bands[step]
+    else:
+        emap = {e: e for e in d.edges}
+        circle_edges: list[int] = []
+        cur = d
+        for band in bands:
+            ec = cur.edge_component
+            taken = {ec[e] for e in circle_edges}
             arc_a = _arc_current(band.arc_a, emap, cur.loops)
             arc_b = _arc_current(band.arc_b, emap, cur.loops)
             for arc in (arc_a, arc_b):
@@ -484,12 +498,9 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
                 cur, circle_edge, _, step_map, _ = _knotify_step(cur, band)
             except (SameComponent, OrientationConflict, BadComponentIndex) as exc:
                 raise BadBands(str(exc)) from exc
-        else:
-            mergeable = set(range(cur.num_components)) - taken
-            cur, circle_edge, _, step_map, _ = _merge_step_auto(cur, mergeable)
-        emap = {e: step_map[v] for e, v in emap.items() if v in step_map}
-        circle_edges = [step_map[e] for e in circle_edges]
-        circle_edges.append(circle_edge)
+            emap = {e: step_map[v] for e, v in emap.items() if v in step_map}
+            circle_edges = [step_map[e] for e in circle_edges]
+            circle_edges.append(circle_edge)
     ec = cur.edge_component
     circle_comps = sorted(ec[e] for e in circle_edges)
     if len(set(circle_comps)) != ell - 1:
@@ -540,48 +551,8 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
             raise InvalidBlockFraming(
                 f"block {block}: framings sum to {total}, need {-2 * internal}")
 
-    # knotify every block inside the ambient diagram; representatives
-    # are kept as current-diagram edge ids (bare loops as counts, since
-    # crossing-free circles are interchangeable)
-    cur = d
-    block_loops = [sum(1 for i in block if i >= len(d.components))
-                   for block in part.blocks]
-    block_edges = [[d.components[i][0] for i in block if i < len(d.components)]
-                   for block in part.blocks]
-    circle_edges: list[list[int]] = [[] for _ in part.blocks]
-
-    for bi, block in enumerate(part.blocks):
-        while True:
-            ec = cur.edge_component
-            comps_now = {ec[e] for e in block_edges[bi]}
-            if len(comps_now) + block_loops[bi] <= 1:
-                break
-            candidates = set(comps_now)
-            for off in range(block_loops[bi]):
-                candidates.add(len(cur.components) + off)
-            cur, circle_edge, knot_edge, step_map, loops_used = \
-                _merge_step_auto(cur, candidates)
-            block_loops[bi] -= loops_used
-            for lst in circle_edges:
-                lst[:] = [step_map[e] for e in lst]
-            for bj in range(part.block_count):
-                block_edges[bj] = [step_map[e] for e in block_edges[bj] if e in step_map]
-            circle_edges[bi].append(circle_edge)
-            block_edges[bi].append(knot_edge)
-
+    cur, circle_edges, knot_comp = _knotify_blocks(d, part.blocks)
     ec = cur.edge_component
-    knot_comp: dict[int, int] = {}
-    loop_cursor = len(cur.components)
-    for bi in range(part.block_count):
-        if block_edges[bi]:
-            knot_comp[bi] = ec[block_edges[bi][0]]
-        else:
-            # the block knotified to a bare loop (or was one); bare loops
-            # are interchangeable, so hand out positions in block order
-            if block_loops[bi] != 1:
-                raise InternalInvariantError("block lost its loop count")
-            knot_comp[bi] = loop_cursor
-            loop_cursor += 1
 
     # audit: every knotified circle is null-homologous over every handle
     w_rows = []

@@ -151,6 +151,19 @@ def test_batch_isolation_and_order(tmp_path, capsys):
         "by_band": {"input": 0, "precondition": 1, "internal": 0}}
 
 
+def test_foreign_exception_exits_4(capsys, monkeypatch):
+    def report(d, name=None):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "obstruction_report", report)
+    code = cli.main(["invariants", "--catalog", "trefoil:+"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert "internal error: ZeroDivisionError: boom" in err
+
+
 @pytest.mark.parametrize("error", [InternalInvariantError("boom"),
                                    ZeroDivisionError("boom")])
 def test_batch_internal_row_exits_4(tmp_path, capsys, monkeypatch, error):

@@ -48,6 +48,37 @@ def test_transport_push_propagates_internal_errors(monkeypatch, error):
         tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
+def _stuck_push(pushes):
+    """A transport push that moves nothing, counting its calls."""
+    def push(d, comps):
+        pushes.append(len(d.crossings))
+        return d, {e: e for e in d.edges}
+    return push
+
+
+def test_high_order_transport_stops_at_its_bound(monkeypatch):
+    d = ld.from_braid([1, 1, 2, 2], 3)  # components 0 and 2 never cross
+    assert tr._direct_band(d, {0, 2}) is None
+    pushes = []
+    monkeypatch.setattr(tr, "_transport_push", _stuck_push(pushes))
+    part = tr.WeightedPartition.of([(0, 2), (1,)], [0, 0], 3)
+    with pytest.raises(BadBands, match="did not converge"):
+        tr.high_order_trace(tr.FramedLink(d, (0, 0, 0)), part)
+    assert pushes == [len(d.crossings)] * (4 * len(d.crossings) + 12)
+
+
+def test_knotify_transport_stops_at_its_bound(monkeypatch):
+    # a connected diagram always has a band at a crossing of two
+    # components, so only a missing band makes knotify push arcs
+    d = ld.catalog("hopf", "+")
+    pushes = []
+    monkeypatch.setattr(tr, "_direct_band", lambda d, comps: None)
+    monkeypatch.setattr(tr, "_transport_push", _stuck_push(pushes))
+    with pytest.raises(BadBands, match="did not converge"):
+        tr.knotify(tr.FramedLink(d, (0, 0)))
+    assert len(pushes) == 4 * len(d.crossings) + 12
+
+
 # -- zero traces ------------------------------------------------------------------
 
 def test_zero_trace_unknot():
@@ -175,6 +206,24 @@ def test_knotify_split_loop_and_knot():
     kn = tr.knotify(tr.FramedLink(d, (0, 0)))
     assert kn.surgery_circles == 1
     assert kn.winding == (0,)
+
+
+@pytest.mark.parametrize("d, freezes", [
+    (ld.parse_pd(TREFOIL + ", O"), 1),
+    (ld.catalog("unlink", 3), 2),
+], ids=["trefoil-and-loop", "unlink3"])
+def test_loop_bands_freeze_once_per_merge(monkeypatch, d, freezes):
+    calls = []
+    freeze = ld._Builder.freeze
+
+    def counting(self):
+        calls.append(self)
+        return freeze(self)
+
+    monkeypatch.setattr(ld._Builder, "freeze", counting)
+    kn = tr.knotify(tr.FramedLink(d, (0,) * d.num_components))
+    assert kn.surgery_circles == d.num_components - 1
+    assert len(calls) == freezes
 
 
 def test_knotify_bad_bands():
