@@ -65,14 +65,15 @@ class GoeritzData:
 def _checkerboard_edges(d: LinkDiagram):
     """Edges of the two shading graphs: each crossing joins its opposite
     face corners, (0,2) with weight +1 and (1,3) with weight -1."""
-    face_of = {}
+    face_of = [0] * (4 * len(d.crossings))
     for i, f in enumerate(d.face_corners):
-        for corner in f:
-            face_of[corner] = i
+        for x in f:
+            face_of[x] = i
     edges = []
     for c in d.crossings:
-        edges.append((face_of[(c.id, 0)], face_of[(c.id, 2)], 1, c.sign))
-        edges.append((face_of[(c.id, 1)], face_of[(c.id, 3)], -1, c.sign))
+        x = 4 * c.id
+        edges.append((face_of[x], face_of[x + 2], 1, c.sign))
+        edges.append((face_of[x + 1], face_of[x + 3], -1, c.sign))
     return edges
 
 

@@ -53,11 +53,14 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """A frozen diagram.  Its derived structure (edge ends, faces, face
-    walks, pieces, linking) is computed at most once, on first use, and
-    shared by every caller, who must not mutate it.  The memo lives in
-    the instance's ``__dict__``: it is no field, so equality, hashing
-    and serialization ignore it, and it goes away with the diagram."""
+    """A frozen diagram.  Its derived structure (corner lists, faces,
+    face walks, pieces, linking) is computed at most once, on first use,
+    and shared by every caller, who must not mutate it.  The memo lives
+    in the instance's ``__dict__``: it is no field, so equality, hashing
+    and serialization ignore it, and it goes away with the diagram.
+
+    The memo numbers corner (c, s) as the int 4c+s, so crossing i must
+    have id i."""
 
     crossings: tuple[Crossing, ...]
     components: tuple[tuple[int, ...], ...]
@@ -75,34 +78,48 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
 
+    def __post_init__(self):
+        if self.loops < 0:
+            raise MalformedPD(f"loops must be non-negative, got {self.loops}")
+        # the flat memos index corners as 4 * id + slot
+        for i, c in enumerate(self.crossings):
+            if c.id != i:
+                raise MalformedPD(f"crossing at position {i} has id {c.id}")
+
     @cached_property
     def edge_component(self) -> dict[int, int]:
         return {e: i for i, comp in enumerate(self.components) for e in comp}
 
     @cached_property
-    def occurrences(self) -> dict[int, list[Corner]]:
-        occ: dict[int, list[Corner]] = {}
-        for c in self.crossings:
-            for s, e in enumerate(c.edges):
-                occ.setdefault(e, []).append((c.id, s))
-        return occ
+    def corner_edges(self) -> list[int]:
+        """Corner ``4c+s`` -> the edge at slot s of crossing c."""
+        return [e for c in self.crossings for e in c.edges]
 
     @cached_property
-    def ends(self) -> dict[int, tuple[Corner, Corner]]:
-        """Edge -> (tail corner, head corner)."""
-        ends = {}
-        for c in self.crossings:
-            oi = c.over_in_slot
-            for s, e in enumerate(c.edges):
-                tail, head = ends.get(e, (None, None))
-                if s == 0 or s == oi:
-                    ends[e] = (tail, (c.id, s))
-                else:
-                    ends[e] = ((c.id, s), head)
-        return ends
+    def partner(self) -> list[int]:
+        """Corner -> the corner at the other end of its edge."""
+        edges = self.corner_edges
+        partner = [-1] * len(edges)
+        first: dict[int, int] = {}
+        for x, e in enumerate(edges):
+            y = first.setdefault(e, x)
+            if y != x:
+                if partner[y] != -1:
+                    raise InconsistentEdges(f"edge {e} appears more than twice")
+                partner[x] = y
+                partner[y] = x
+        if -1 in partner:
+            raise InconsistentEdges(f"edge {edges[partner.index(-1)]} appears once")
+        return partner
 
     @cached_property
-    def face_corners(self) -> list[list[Corner]]:
+    def corner_out(self) -> list[bool]:
+        """Corner -> whether its edge leaves the crossing there."""
+        return [end == _END_TAIL for c in self.crossings
+                for end in _SLOT_ENDS[c.sign > 0]]
+
+    @cached_property
+    def face_corners(self) -> list[list[int]]:
         return faces(self)
 
     @cached_property
@@ -110,13 +127,27 @@ class LinkDiagram:
         return face_edge_parities(self)
 
     @cached_property
+    def edge_faces(self) -> list[list[tuple[int, bool]]]:
+        """Edge -> its (face index, parity) places on the face walks, in
+        face order."""
+        places = [[] for _ in range(max(self.corner_edges, default=0) + 1)]
+        for i, walk in enumerate(self.face_walks):
+            for e, p in walk:
+                places[e].append((i, p))
+        return places
+
+    @cached_property
     def pieces(self) -> list[set[int]]:
         return _pieces(self)
 
     @cached_property
-    def piece_of(self) -> dict[int, int]:
+    def piece_of(self) -> list[int]:
         """Crossing id -> index of its connected piece in ``pieces``."""
-        return {cid: i for i, piece in enumerate(self.pieces) for cid in piece}
+        piece_of = [0] * len(self.crossings)
+        for i, piece in enumerate(self.pieces):
+            for cid in piece:
+                piece_of[cid] = i
+        return piece_of
 
     @cached_property
     def linking(self) -> tuple[tuple[int, ...], ...]:
@@ -136,7 +167,10 @@ class LinkDiagram:
 
     def head_of(self, edge: int) -> Corner:
         """(crossing, slot) where the edge flows into a crossing."""
-        return self.ends[edge][1]
+        x = self.corner_edges.index(edge)
+        if self.corner_out[x]:
+            x = self.partner[x]
+        return x >> 2, x & 3
 
 
 @dataclass(frozen=True)
@@ -162,6 +196,9 @@ class BandSpec:
 
 _END_HEAD = "h"
 _END_TAIL = "t"
+# the ends at slots 0..3 of a negative crossing, then of a positive one
+_SLOT_ENDS = ((_END_HEAD, _END_HEAD, _END_TAIL, _END_TAIL),
+              (_END_HEAD, _END_TAIL, _END_TAIL, _END_HEAD))
 
 
 class _Builder:
@@ -248,27 +285,52 @@ class _Builder:
     # -- freezing ------------------------------------------------------------
 
     def _walk_components(self):
-        """(edge cycles of the components, edge -> head, edge -> tail)."""
-        heads: dict[int, Corner] = {}
-        tails: dict[int, Corner] = {}
+        """Check every crossing's slots and walk the components: (edge
+        cycles in order of least edge, edge -> head, edge -> tail), the
+        maps as lists indexed by raw edge id."""
+        h, t = _END_HEAD, _END_TAIL
+        heads: list[Corner | None] = [None] * self._next_edge
+        tails: list[Corner | None] = [None] * self._next_edge
+        ends_seen: set[tuple[int, str]] = set()
         for cid, slots in self.cross.items():
-            for s, (e, end) in enumerate(slots):
-                (heads if end == _END_HEAD else tails)[e] = (cid, s)
-        if set(heads) != set(tails):
-            raise InternalInvariantError("edge with missing end")
+            if None in slots:
+                raise InternalInvariantError(f"crossing {cid} has empty slot")
+            (e0, end0), (e1, end1), (e2, end2), (e3, end3) = slots
+            if end0 != h or end2 != t:
+                raise InternalInvariantError(f"crossing {cid} under-strand miswired")
+            if {end1, end3} != {h, t}:
+                raise InternalInvariantError(f"crossing {cid} over-strand miswired")
+            ends_seen.update(slots)
+            heads[e0] = (cid, 0)
+            tails[e2] = (cid, 2)
+            if end1 == h:
+                heads[e1] = (cid, 1)
+                tails[e3] = (cid, 3)
+            else:
+                heads[e3] = (cid, 3)
+                tails[e1] = (cid, 1)
+        if len(ends_seen) != 4 * len(self.cross):
+            for e, end in ends_seen:
+                n = sum(slots.count((e, end)) for slots in self.cross.values())
+                if n != 1:
+                    raise InconsistentEdges(f"edge {e} end {end} used {n} times")
+        seen = [False] * self._next_edge
         comps = []
-        seen = set()
-        for start in sorted(heads):
-            if start in seen:
+        for start, head in enumerate(heads):
+            if head is None or seen[start]:
                 continue
             cyc = []
             e = start
-            while e not in seen:
-                seen.add(e)
+            while not seen[e]:
+                # every edge with a head is walked, and every tail sits
+                # opposite a head, so each edge missing an end shows here
+                if heads[e] is None or tails[e] is None:
+                    raise InternalInvariantError("edge with missing end")
+                seen[e] = True
                 cyc.append(e)
                 cid, s = heads[e]
                 nxt = self.cross[cid][(s + 2) % 4]
-                if nxt[1] != _END_TAIL:
+                if nxt[1] != t:
                     raise InternalInvariantError("strand does not flow through")
                 e = nxt[0]
             if e != start:
@@ -277,31 +339,14 @@ class _Builder:
         return comps, heads, tails
 
     def freeze(self) -> LinkDiagram:
-        for cid, slots in self.cross.items():
-            if any(x is None for x in slots):
-                raise InternalInvariantError(f"crossing {cid} has empty slot")
-            if slots[0][1] != _END_HEAD or slots[2][1] != _END_TAIL:
-                raise InternalInvariantError(f"crossing {cid} under-strand miswired")
-            over_ends = {slots[1][1], slots[3][1]}
-            if over_ends != {_END_HEAD, _END_TAIL}:
-                raise InternalInvariantError(f"crossing {cid} over-strand miswired")
-        counts: dict[tuple[int, str], int] = {}
-        for slots in self.cross.values():
-            for occ in slots:
-                counts[occ] = counts.get(occ, 0) + 1
-        for (e, end), n in counts.items():
-            if n != 1:
-                raise InconsistentEdges(f"edge {e} end {end} used {n} times")
-
         comps, heads, tails = self._walk_components()
-        comps.sort(key=lambda cyc: min(cyc))
         # canonical renumbering: edges consecutively along components,
         # crossings in order of first touch.  A two-edge component lying
         # entirely over other strands is the one case a bare PD code
         # cannot orient by the numbering convention alone; rotate its
         # numbering so that the lower edge's head sits at the lower
         # crossing id, which is what parsing assumes for the tie-break.
-        edge_map: dict[int, int] = {}
+        edge_map = [0] * self._next_edge
         cross_map: dict[int, int] = {}
         nxt = 1
         for k, cyc in enumerate(comps):
@@ -319,14 +364,15 @@ class _Builder:
                 cid = heads[e][0]
                 if cid not in cross_map:
                     cross_map[cid] = len(cross_map)
+        # every crossing is the head of its under-in edge, so cross_map
+        # holds them all, inserted in order of their new ids
         crossings = []
-        for cid in sorted(self.cross, key=lambda c: cross_map[c]):
-            slots = self.cross[cid]
-            edges = tuple(edge_map[e] for e, _ in slots)
-            sign = 1 if slots[3][1] == _END_HEAD else -1
-            crossings.append(Crossing(cross_map[cid], edges, sign))
+        for new_id, cid in enumerate(cross_map):
+            (e0, _), (e1, _), (e2, _), (e3, end3) = self.cross[cid]
+            edges = (edge_map[e0], edge_map[e1], edge_map[e2], edge_map[e3])
+            crossings.append(Crossing(new_id, edges, 1 if end3 == _END_HEAD else -1))
         components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
-        self.last_edge_map = edge_map
+        self.last_edge_map = {e: edge_map[e] for cyc in comps for e in cyc}
         diagram = LinkDiagram(tuple(crossings), components, self.loops, self.name)
         _validate_planarity(diagram)
         if diagram.num_components < 1:
@@ -338,39 +384,31 @@ def _thaw(d: LinkDiagram) -> _Builder:
     b = _Builder()
     b.loops = d.loops
     b.name = d.name
-    b._next_edge = max(d.edges, default=0) + 1
+    b._next_edge = max(map(max, d.components), default=0) + 1
     b._next_cross = len(d.crossings)
     for c in d.crossings:
-        oi = c.over_in_slot
-        slots = []
-        for s, e in enumerate(c.edges):
-            end = _END_HEAD if (s == 0 or s == oi) else _END_TAIL
-            slots.append((e, end))
-        b.cross[c.id] = slots
+        b.cross[c.id] = list(zip(c.edges, _SLOT_ENDS[c.sign > 0]))
     return b
 
 
 def _pieces(d: LinkDiagram) -> list[set[int]]:
     """Connected pieces of the 4-valent graph, as sets of crossing ids."""
-    adj: dict[int, set[int]] = {c.id: set() for c in d.crossings}
-    for places in d.occurrences.values():
-        for (c1, _), (c2, _) in zip(places, places[1:]):
-            adj[c1].add(c2)
-            adj[c2].add(c1)
+    partner = d.partner
+    seen = [False] * len(d.crossings)
     pieces = []
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
+    for start in range(len(d.crossings)):
+        if seen[start]:
             continue
+        seen[start] = True
         stack = [start]
         piece = set()
         while stack:
-            x = stack.pop()
-            if x in piece:
-                continue
-            piece.add(x)
-            stack.extend(adj[x] - piece)
-        seen |= piece
+            c = stack.pop()
+            piece.add(c)
+            for y in partner[4 * c:4 * c + 4]:
+                if not seen[y >> 2]:
+                    seen[y >> 2] = True
+                    stack.append(y >> 2)
         pieces.append(piece)
     return pieces
 
@@ -379,31 +417,33 @@ def is_connected(d: LinkDiagram) -> bool:
     return len(d.pieces) + d.loops == 1
 
 
-def faces(d: LinkDiagram) -> list[list[Corner]]:
+def _after(values: list) -> list:
+    """Per-corner values shifted by one slot: entry 4c+s holds the value
+    of corner 4c+s+1 (4c for s = 3)."""
+    out = values[1:] + values[:1]
+    out[3::4] = values[0::4]
+    return out
+
+
+def faces(d: LinkDiagram) -> list[list[int]]:
     """Complementary regions of the diagram.  Each face is the cyclic
-    list of crossing corners met walking its boundary; corner (c, s) is
+    list of crossing corners met walking its boundary; corner 4c+s is
     the region between slots s and s+1 of crossing c."""
-    partner: dict[Corner, Corner] = {}
-    for places in d.occurrences.values():
-        if len(places) != 2:
-            raise InconsistentEdges(f"edge appears {len(places)} times")
-        partner[places[0]] = places[1]
-        partner[places[1]] = places[0]
+    # the walk leaves a corner along the edge at its next slot and goes
+    # on from that edge's other end
+    step = _after(d.partner)
+    seen = [False] * len(step)
     out = []
-    seen: set[Corner] = set()
     # each face starts at its least corner, so faces come in that order
-    for start in sorted((c.id, s) for c in d.crossings for s in range(4)):
-        if start in seen:
+    for start in range(len(step)):
+        if seen[start]:
             continue
-        face = [start]
-        seen.add(start)
-        while True:
-            cid, s = face[-1]
-            nxt = partner[(cid, (s + 1) % 4)]
-            if nxt == start:
-                break
-            face.append(nxt)
-            seen.add(nxt)
+        face = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            face.append(x)
+            x = step[x]
         out.append(face)
     return out
 
@@ -412,20 +452,19 @@ def _validate_planarity(d: LinkDiagram):
     if not d.crossings:
         return
     pieces = d.pieces
-    piece_of = d.piece_of
-    per_piece: dict[int, int] = {}
+    corner_piece = [i for i in d.piece_of for _ in range(4)]
+    per_piece = [0] * len(pieces)
     for f in d.face_corners:
-        ids = {piece_of[cid] for cid, _ in f}
+        ids = set(map(corner_piece.__getitem__, f))
         if len(ids) != 1:
             raise InternalInvariantError("face walk crossed connected pieces")
-        i = ids.pop()
-        per_piece[i] = per_piece.get(i, 0) + 1
+        per_piece[ids.pop()] += 1
     for i, piece in enumerate(pieces):
         # V - E + F = 2 with E = 2V for a connected 4-valent planar graph
         expected = len(piece) + 2
-        if per_piece.get(i, 0) != expected:
+        if per_piece[i] != expected:
             raise MalformedPD(
-                f"PD code is not planar (piece {i}: {per_piece.get(i, 0)} faces, "
+                f"PD code is not planar (piece {i}: {per_piece[i]} faces, "
                 f"expected {expected})"
             )
 
@@ -433,27 +472,16 @@ def _validate_planarity(d: LinkDiagram):
 def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """For each face, the edges along its boundary walk together with a
     flag: True when the edge is traversed along its own orientation."""
-    out = []
-    for f in d.face_corners:
-        walk = []
-        for cid, s in f:
-            corner = (cid, (s + 1) % 4)
-            e = d.crossings[cid].edges[corner[1]]
-            walk.append((e, d.ends[e][0] == corner))
-        out.append(walk)
-    return out
+    edges, out = _after(d.corner_edges), _after(d.corner_out)
+    return [[(edges[x], out[x]) for x in f] for f in d.face_corners]
 
 
 def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
     """(parity of a, parity of b) over every face whose walk meets both
     edges.  Face walks keep their region on the right, so a parity of
     True puts the face to the right of the edge."""
-    sides = set()
-    for walk in d.face_walks:
-        pars_a = [p for e, p in walk if e == a]
-        pars_b = [p for e, p in walk if e == b]
-        sides.update((x, y) for x in pars_a for y in pars_b)
-    return sides
+    places = d.edge_faces
+    return {(pa, pb) for fa, pa in places[a] for fb, pb in places[b] if fa == fb}
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +602,18 @@ def assemble_pd(
         pool = candidates or [fwd, bwd]
         heads.update(max(pool, key=lambda h: _ascents(h, occ, tuples, partner)))
 
+    # the builder indexes edges by id, so renumber them 1..m in the same
+    # order, which keeps freeze's component order and walk starts
+    rank = {e: i for i, e in enumerate(sorted(occ), 1)}
     b = _Builder()
     b.loops = nloops
     b.name = name
-    b._next_edge = max(occ, default=0) + 1
+    b._next_edge = len(rank) + 1
     for ci, tup in enumerate(tuples):
         slots: list[tuple[int, str]] = []
         for s, e in enumerate(tup):
             end = _END_HEAD if heads[e] == (ci, s) else _END_TAIL
-            slots.append((e, end))
+            slots.append((rank[e], end))
         if slots[0][1] != _END_HEAD:
             if strict_under:
                 raise OrientationConflict(f"crossing {ci}: under-strand reversed")
@@ -708,12 +739,10 @@ def total_linking(d: LinkDiagram) -> int:
 def is_alternating(d: LinkDiagram) -> bool:
     """True when every strand alternates over/under passes; crossing-free
     components are vacuously alternating."""
-    for tail, head in d.ends.values():
-        tail_over = tail[1] != 2
-        head_over = head[1] != 0
-        if tail_over == head_over:
-            return False
-    return True
+    partner = d.partner
+    # an edge leaves over unless from slot 2 and arrives over unless at slot 0
+    return all((x & 3 == 2) != (partner[x] & 3 == 0)
+               for x, out in enumerate(d.corner_out) if out)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +750,8 @@ def is_alternating(d: LinkDiagram) -> bool:
 # ---------------------------------------------------------------------------
 
 def _same_piece(d: LinkDiagram, a: int, b: int) -> bool:
-    return d.piece_of[d.head_of(a)[0]] == d.piece_of[d.head_of(b)[0]]
+    at = d.corner_edges.index
+    return d.piece_of[at(a) >> 2] == d.piece_of[at(b) >> 2]
 
 
 def band_merge(d: LinkDiagram, band: BandSpec) -> LinkDiagram:
@@ -977,13 +1007,13 @@ def _r2_remove(d: LinkDiagram, c1: int, c2: int) -> LinkDiagram:
     for f in d.face_corners:
         if len(f) != 2:
             continue
-        ids = {f[0][0], f[1][0]}
-        if ids != {c1, c2}:
+        xa, xb = f
+        if {xa >> 2, xb >> 2} != {c1, c2}:
             continue
-        (ca, sa), (cb, sb) = f
-        # bigon edges sit at slots sa+1 (= walk to cb) and sb+1; the pair
-        # cancels when each bigon edge keeps one strand type at both ends
-        if (sa + 1) % 2 != sb % 2:
+        # bigon edges sit at the slots after corners xa (= walk to xb) and
+        # xb; the pair cancels when each bigon edge keeps one strand type
+        # at both ends
+        if (xa + 1) % 2 != xb % 2:
             continue
         if d.crossings[c1].sign == d.crossings[c2].sign:
             raise InternalInvariantError("R2 bigon with equal signs")

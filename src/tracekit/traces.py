@@ -293,16 +293,20 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     components of ``comps``, when one exists without moving any arcs."""
     ec = d.edge_component
     n_edge_comps = len(d.components)
-    pairs = []
+    best = None
     for walk in d.face_walks:
-        for i, (e1, p1) in enumerate(walk):
-            for e2, p2 in walk[i + 1:]:
-                if p1 != p2 or ec[e1] == ec[e2]:
-                    continue
-                if ec[e1] in comps and ec[e2] in comps:
-                    pairs.append(tuple(sorted((e1, e2))))
-    if pairs:
-        return BandSpec(*min(pairs))
+        for parity in (False, True):
+            # the least pair of a bucket: its least edge, and the least
+            # edge on another component
+            es = [e for e, p in walk if p == parity and ec[e] in comps]
+            if len(es) < 2:
+                continue
+            first = min(es)
+            second = min((e for e in es if ec[e] != ec[first]), default=None)
+            if second is not None and (best is None or (first, second) < best):
+                best = (first, second)
+    if best is not None:
+        return BandSpec(*best)
     # bands involving crossing-free loops are always coherent
     loop_comps = sorted(i for i in comps if i >= n_edge_comps)
     edge_comps = sorted(i for i in comps if i < n_edge_comps)
@@ -334,10 +338,7 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
     face_edges = [{e for e, _ in walk} for walk in d.face_walks]
-    faces_of: dict[int, list[int]] = {}
-    for i, es in enumerate(face_edges):
-        for e in es:
-            faces_of.setdefault(e, []).append(i)
+    edge_faces = d.edge_faces
     dist = [None] * len(face_edges)
     via: list[int | None] = [None] * len(face_edges)
     frontier = []
@@ -349,7 +350,7 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
         nxt = []
         for i in frontier:
             for e in face_edges[i]:
-                for j in faces_of[e]:
+                for j, _ in edge_faces[e]:
                     if dist[j] is None:
                         dist[j] = dist[i] + 1
                         via[j] = e

@@ -15,8 +15,8 @@ from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.invariants import obstruction_report
 
-MEMOS = ("edge_component", "occurrences", "ends", "face_corners", "face_walks",
-         "pieces", "piece_of", "linking")
+MEMOS = ("edge_component", "corner_edges", "partner", "corner_out",
+         "face_corners", "face_walks", "edge_faces", "pieces", "piece_of", "linking")
 
 
 @pytest.fixture(scope="module")

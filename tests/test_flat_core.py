@@ -1,0 +1,322 @@
+"""The flat diagram core against the dict-based code it replaced.
+
+A frozen diagram numbers corner (c, s) as the int 4c+s and keeps its
+derived structure in lists.  The references below are the earlier
+implementations over dicts of (crossing, slot) tuples, kept here the way
+``test_face_chirality`` keeps the trial order; the library must give the
+same faces, pieces, walk parities, face sides and direct bands, and the
+same errors for edges used other than twice.
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+
+from conftest import base_seed, random_connected_diagram
+from test_face_chirality import _corpus as chirality_corpus
+from tracekit import linkdiag as ld
+from tracekit import traces as tr
+from tracekit.errors import InconsistentEdges, InternalInvariantError, MalformedPD
+
+
+# -- references: dicts of (crossing, slot) corners ------------------------------
+
+def ref_occurrences(d):
+    occ = {}
+    for c in d.crossings:
+        for s, e in enumerate(c.edges):
+            occ.setdefault(e, []).append((c.id, s))
+    return occ
+
+
+def ref_ends(d):
+    ends = {}
+    for c in d.crossings:
+        oi = c.over_in_slot
+        for s, e in enumerate(c.edges):
+            tail, head = ends.get(e, (None, None))
+            if s == 0 or s == oi:
+                ends[e] = (tail, (c.id, s))
+            else:
+                ends[e] = ((c.id, s), head)
+    return ends
+
+
+def ref_faces(d):
+    partner = {}
+    for places in ref_occurrences(d).values():
+        if len(places) != 2:
+            raise InconsistentEdges(f"edge appears {len(places)} times")
+        partner[places[0]] = places[1]
+        partner[places[1]] = places[0]
+    out = []
+    seen = set()
+    for start in sorted((c.id, s) for c in d.crossings for s in range(4)):
+        if start in seen:
+            continue
+        face = [start]
+        seen.add(start)
+        while True:
+            cid, s = face[-1]
+            nxt = partner[(cid, (s + 1) % 4)]
+            if nxt == start:
+                break
+            face.append(nxt)
+            seen.add(nxt)
+        out.append(face)
+    return out
+
+
+def ref_pieces(d):
+    adj = {c.id: set() for c in d.crossings}
+    for places in ref_occurrences(d).values():
+        for (c1, _), (c2, _) in zip(places, places[1:]):
+            adj[c1].add(c2)
+            adj[c2].add(c1)
+    pieces = []
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        stack = [start]
+        piece = set()
+        while stack:
+            x = stack.pop()
+            if x in piece:
+                continue
+            piece.add(x)
+            stack.extend(adj[x] - piece)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
+
+
+def ref_face_edge_parities(d):
+    ends = ref_ends(d)
+    out = []
+    for f in ref_faces(d):
+        walk = []
+        for cid, s in f:
+            corner = (cid, (s + 1) % 4)
+            e = d.crossings[cid].edges[corner[1]]
+            walk.append((e, ends[e][0] == corner))
+        out.append(walk)
+    return out
+
+
+def ref_face_sides(walks, a, b):
+    sides = set()
+    for walk in walks:
+        pars_a = [p for e, p in walk if e == a]
+        pars_b = [p for e, p in walk if e == b]
+        sides.update((x, y) for x in pars_a for y in pars_b)
+    return sides
+
+
+def ref_same_piece(d, a, b):
+    ends = ref_ends(d)
+    piece_of = {cid: i for i, piece in enumerate(ref_pieces(d)) for cid in piece}
+    return piece_of[ends[a][1][0]] == piece_of[ends[b][1][0]]
+
+
+def ref_is_alternating(d):
+    return all((tail[1] != 2) != (head[1] != 0) for tail, head in ref_ends(d).values())
+
+
+def ref_direct_band(d, comps):
+    """The all-pairs scan over every face walk."""
+    ec = d.edge_component
+    n_edge_comps = len(d.components)
+    pairs = []
+    for walk in ref_face_edge_parities(d):
+        for i, (e1, p1) in enumerate(walk):
+            for e2, p2 in walk[i + 1:]:
+                if p1 != p2 or ec[e1] == ec[e2]:
+                    continue
+                if ec[e1] in comps and ec[e2] in comps:
+                    pairs.append(tuple(sorted((e1, e2))))
+    if pairs:
+        return ld.BandSpec(*min(pairs))
+    loop_comps = sorted(i for i in comps if i >= n_edge_comps)
+    edge_comps = sorted(i for i in comps if i < n_edge_comps)
+    if loop_comps and (edge_comps or len(loop_comps) >= 2):
+        loop_arc = ("loop", loop_comps[0] - n_edge_comps)
+        if edge_comps:
+            return ld.BandSpec(loop_arc, d.components[edge_comps[0]][0])
+        return ld.BandSpec(loop_arc, ("loop", loop_comps[1] - n_edge_comps))
+    reps = [d.components[c][0] for c in edge_comps]
+    for i, e1 in enumerate(reps):
+        for e2 in reps[i + 1:]:
+            if not ref_same_piece(d, e1, e2):
+                return ld.BandSpec(*sorted((e1, e2)))
+    return None
+
+
+# -- corpus ------------------------------------------------------------------------
+
+def _split_closures(rng, count):
+    """Braids on generators 1 and 3 only, on 4-6 strands: split closures,
+    with crossing-free loops from the untouched strands."""
+    out = []
+    for _ in range(count):
+        word = [rng.choice([1, -1]) * rng.choice([1, 3]) for _ in range(rng.randrange(2, 9))]
+        out.append(ld.from_braid(word, rng.randrange(4, 7)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def diagrams():
+    rng = random.Random(base_seed() + 6)
+    out = list(chirality_corpus())
+    out += [random_connected_diagram(rng, 12) for _ in range(200)]
+    out += _split_closures(rng, 40)
+    return out
+
+
+def test_corpus_covers_split_diagrams_and_loops(diagrams):
+    assert len(diagrams) >= 260
+    assert sum(len(ref_pieces(d)) > 1 for d in diagrams) >= 20
+    assert sum(d.loops > 0 for d in diagrams) >= 10
+
+
+# -- flat against reference ---------------------------------------------------------
+
+def test_faces_pieces_and_walks_match(diagrams):
+    for d in diagrams:
+        flat = [[(x >> 2, x & 3) for x in f] for f in ld.faces(d)]
+        assert flat == ref_faces(d)
+        assert ld._pieces(d) == ref_pieces(d)
+        walks = ld.face_edge_parities(d)
+        assert walks == ref_face_edge_parities(d)
+        assert d.piece_of == [i for c in d.crossings
+                              for i, piece in enumerate(ref_pieces(d)) if c.id in piece]
+        assert ld.is_alternating(d) == ref_is_alternating(d)
+        for e in d.edges:
+            assert d.edge_faces[e] == [(i, p) for i, walk in enumerate(walks)
+                                       for x, p in walk if x == e]
+
+
+def test_corner_memos_match(diagrams):
+    for d in diagrams:
+        occ = ref_occurrences(d)
+        ends = ref_ends(d)
+        for c in d.crossings:
+            for s, e in enumerate(c.edges):
+                x = 4 * c.id + s
+                assert d.corner_edges[x] == e
+                (other,) = [p for p in occ[e] if p != (c.id, s)]
+                assert d.partner[x] == 4 * other[0] + other[1]
+                assert d.corner_out[x] == (ends[e][0] == (c.id, s))
+                assert d.head_of(e) == ends[e][1]
+
+
+def test_face_sides_and_pieces_of_edge_pairs_match(diagrams):
+    for d in diagrams[:80]:
+        walks = ref_face_edge_parities(d)
+        for a, b in itertools.permutations(d.edges, 2):
+            assert ld._face_sides(d, a, b) == ref_face_sides(walks, a, b)
+            assert ld._same_piece(d, a, b) == ref_same_piece(d, a, b)
+
+
+def test_direct_band_matches_all_pairs_scan(diagrams):
+    checked = 0
+    for d in diagrams:
+        comps = range(d.num_components)
+        subsets = [set(s) for k in range(2, len(comps) + 1)
+                   for s in itertools.combinations(comps, k)]
+        for subset in subsets[:40]:
+            assert tr._direct_band(d, subset) == ref_direct_band(d, subset)
+            checked += 1
+    assert checked > 300
+
+
+# -- errors --------------------------------------------------------------------------
+
+def _direct(*tuples):
+    """A diagram built directly, without freeze's checks."""
+    crossings = tuple(ld.Crossing(i, t, 1) for i, t in enumerate(tuples))
+    return ld.LinkDiagram(crossings, ((1, 2, 3),))
+
+
+@pytest.mark.parametrize("tuples", [
+    ((1, 2, 2, 3), (3, 4, 4, 5)),        # edges 1 and 5 used once
+    ((1, 1, 1, 2), (2, 3, 3, 4)),        # edge 1 used three times
+    ((1, 2, 1, 2), (1, 3, 1, 3)),        # edge 1 used four times
+])
+def test_edges_used_other_than_twice_are_inconsistent(tuples):
+    d = _direct(*tuples)
+    with pytest.raises(InconsistentEdges):
+        ld.faces(d)
+    with pytest.raises(InconsistentEdges):
+        d.face_corners
+    with pytest.raises(InconsistentEdges):
+        ref_faces(d)
+
+
+def test_freeze_rejects_a_duplicated_edge_end():
+    b = ld._thaw(ld.catalog("trefoil"))
+    slots = b.cross[0]
+    # slot 1 keeps its end but takes slot 0's edge, whose ends are used
+    slots[1] = (slots[0][0], slots[1][1])
+    with pytest.raises(InconsistentEdges):
+        b.freeze()
+
+
+def test_sparse_edge_ids_parse_like_consecutive_ones():
+    """Input edge ids are labels: huge, sparse or negative ones give the
+    same diagram, and no structure is sized by their values."""
+    tuples = [(4, 2, 5, 1), (6, 4, 1, 3), (2, 6, 3, 5)]
+    want = ld.assemble_pd(tuples)
+    for scale, shift in ((10**15, 0), (1, -10), (7, 3)):
+        moved = [tuple(e * scale + shift for e in t) for t in tuples]
+        assert ld.assemble_pd(moved) == want
+        assert ld.loads(json.dumps({"pd": moved}))[0] == want
+    text = ", ".join(f"X({','.join(str(e * 10**15) for e in t)})" for t in tuples)
+    assert ld.parse_pd(text) == want
+
+
+def test_negative_loops_are_malformed():
+    with pytest.raises(MalformedPD):
+        ld.LinkDiagram((), (), loops=-3)
+    assert ld.LinkDiagram((), (), loops=0).num_components == 0
+
+
+def test_misnumbered_crossings_are_malformed():
+    d = ld.catalog("hopf", "+")
+    c0, c1 = d.crossings
+    with pytest.raises(MalformedPD):
+        ld.LinkDiagram((c1, c0), d.components)
+    with pytest.raises(MalformedPD):
+        ld.LinkDiagram((ld.Crossing(1, c0.edges, c0.sign), c1), d.components)
+    assert ld.LinkDiagram((c0, c1), d.components, name=d.name) == d
+
+
+def _rewire_none(slots, b):
+    slots[3] = None
+
+
+def _rewire_under(slots, b):
+    slots[0], slots[2] = slots[2], slots[0]
+
+
+def _rewire_over(slots, b):
+    slots[1] = (slots[1][0], slots[3][1])
+
+
+def _rewire_missing_end(slots, b):
+    slots[2] = (b.new_edge_id(), slots[2][1])
+
+
+@pytest.mark.parametrize("rewire, message", [
+    (_rewire_none, "empty slot"),
+    (_rewire_under, "under-strand miswired"),
+    (_rewire_over, "over-strand miswired"),
+    (_rewire_missing_end, "edge with missing end"),
+])
+def test_freeze_keeps_its_slot_and_flow_checks(rewire, message):
+    b = ld._thaw(ld.catalog("figure8"))
+    rewire(b.cross[1], b)
+    with pytest.raises(InternalInvariantError, match=message):
+        b.freeze()

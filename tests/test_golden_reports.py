@@ -1,0 +1,61 @@
+"""Benchmark reports stay byte-identical.
+
+Every seed-1 item of the three benchmark corpora (``perfbench/corpus.py``)
+runs in-process through ``tracekit.cli.main``, and each report's sha256
+must equal the one recorded in ``perfbench/golden/<workload>.json``.  A
+refactor that changes any report fails here, without a benchmark run.
+The benchmark directory is only read: its corpus module is loaded
+without writing bytecode, and the input files go under ``tmp_path``.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from tracekit import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN_SEED = 1
+
+
+def _load_corpus():
+    spec = importlib.util.spec_from_file_location("_golden_corpus", PERFBENCH / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    before = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
+
+
+corpus = _load_corpus()
+
+
+@pytest.mark.parametrize("workload", corpus.WORKLOADS)
+def test_reports_match_golden_digests(workload, tmp_path):
+    golden = json.loads((PERFBENCH / "golden" / f"{workload}.json").read_text())
+    items = corpus.build(workload, GOLDEN_SEED)
+    assert corpus.corpus_digest(items) == golden["corpus"]
+    assert {item.id for item in items} == set(golden["items"])
+    mismatched = []
+    for k, item in enumerate(items):
+        path = None
+        if item.text is not None:
+            path = tmp_path / f"item{k}"
+            path.write_text(item.text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(item.command(str(path) if path else None))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if code != 0 or digest != golden["items"][item.id]:
+            mismatched.append((item.id, code, err.getvalue().strip()))
+    assert not mismatched
