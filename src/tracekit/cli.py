@@ -15,9 +15,9 @@ import sys
 import traceback
 
 from . import linkdiag, traces
-from .errors import InputError, InternalInvariantError, PreconditionError
+from .errors import InputError, InternalInvariantError, MalformedPD, PreconditionError
 from .invariants import obstruction_report
-from .linkdiag import BandSpec, LinkDiagram, catalog, parse_pd
+from .linkdiag import BandSpec, LinkDiagram, catalog, json_int, parse_pd
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -30,18 +30,29 @@ def _load_catalog(entry: str) -> LinkDiagram:
     return catalog(name, param if param else None)
 
 
-def _load_link(args) -> tuple[LinkDiagram, list[int] | None]:
+def _load_link(args) -> tuple[LinkDiagram, list[int] | None, dict]:
     if getattr(args, "catalog", None):
-        return _load_catalog(args.catalog), None
+        return _load_catalog(args.catalog), None, {}
     if not getattr(args, "input", None):
         raise InputError("need an input file or --catalog")
+    return _read_link(args.input)
+
+
+def _read_link(path: str) -> tuple[LinkDiagram, list[int] | None, dict]:
+    """(diagram, JSON framings, JSON object) from a file holding link
+    JSON, which starts with ``{``, or a PD code in text form."""
     try:
-        text = open(args.input).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        return linkdiag.loads(text)
-    return parse_pd(text), None
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not text.lstrip().startswith("{"):
+        return parse_pd(text), None, {}
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedPD(f"bad JSON: {exc}") from exc
+    return (*linkdiag.from_json_dict(data), data)
 
 
 def _parse_framings(text: str) -> tuple[int, ...]:
@@ -82,8 +93,8 @@ def _parse_bands(text: str) -> list[BandSpec]:
 
     def arc(x):
         if isinstance(x, list):
-            return (str(x[0]), int(x[1]))
-        return int(x)
+            return (str(x[0]), json_int(x[1], "band loop index"))
+        return json_int(x, "band arc")
 
     if not isinstance(rows, list):
         raise InputError("bands must be a JSON list")
@@ -92,9 +103,9 @@ def _parse_bands(text: str) -> list[BandSpec]:
         if not isinstance(row, list) or len(row) < 2:
             raise InputError(f"bad band {row!r}")
         try:
-            framing = int(row[2]) if len(row) > 2 else 0
+            framing = json_int(row[2], "band twist count") if len(row) > 2 else 0
             out.append(BandSpec(arc(row[0]), arc(row[1]), framing))
-        except (IndexError, TypeError, ValueError) as exc:
+        except (IndexError, TypeError) as exc:
             raise InputError(f"bad band {row!r}") from exc
     return out
 
@@ -134,20 +145,20 @@ def _render(args, data: dict) -> str:
 # -- commands ----------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    d, framings = _load_link(args)
+    d, framings, _ = _load_link(args)
     _emit(args, json.dumps(linkdiag.to_json_dict(d, framings), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
-    d, _ = _load_link(args)
+    d, _, _ = _load_link(args)
     report = obstruction_report(d)
     _emit(args, _render(args, report.as_dict()))
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    d, json_framings = _load_link(args)
+    d, json_framings, _ = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
     if getattr(args, "partition", None):
         part = _parse_partition(args.partition, d.num_components)
@@ -163,7 +174,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_knotify(args) -> int:
-    d, json_framings = _load_link(args)
+    d, json_framings, _ = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
     bands = _parse_bands(args.bands) if getattr(args, "bands", None) else None
     kn = traces.knotify(link, bands)
@@ -182,7 +193,7 @@ def _cmd_knotify(args) -> int:
 
 
 def _cmd_check_sphere(args) -> int:
-    d, json_framings = _load_link(args)
+    d, json_framings, _ = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
     trace = traces.zero_trace(link)
     rank, torsion = traces._h1_of(trace)
@@ -198,24 +209,11 @@ def _cmd_check_sphere(args) -> int:
 
 
 def _cmd_check_schoenflies(args) -> int:
-    if getattr(args, "catalog", None):
-        d = _load_catalog(args.catalog)
-        dotted: tuple[int, ...] = ()
-        framings = None
-    else:
-        if not args.input:
-            raise InputError("need an input file or --catalog")
-        try:
-            raw = json.loads(open(args.input).read())
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON: {exc}") from exc
-        d, framings = linkdiag.from_json_dict(raw)
-        try:
-            dotted = tuple(int(x) for x in raw.get("dotted", ()))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad dotted list: {exc}") from exc
+    d, framings, data = _load_link(args)
+    try:
+        dotted = tuple(json_int(x, "dotted index") for x in data.get("dotted", ()))
+    except TypeError as exc:
+        raise InputError(f"bad dotted list: {exc}") from exc
     n_attach = d.num_components - len(dotted)
     if getattr(args, "framings", None):
         framings = _parse_framings(args.framings)
@@ -292,11 +290,7 @@ def _load_entry(entry) -> LinkDiagram:
     path = entry.get("file")
     if not isinstance(path, str):
         raise InputError(f"manifest entry {entry!r} names no catalog or file")
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return linkdiag.loads(text)[0]
+    return _read_link(path)[0]
 
 
 def _error_band(exc: Exception) -> str:

@@ -98,19 +98,7 @@ class LinkDiagram:
     @cached_property
     def partner(self) -> list[int]:
         """Corner -> the corner at the other end of its edge."""
-        edges = self.corner_edges
-        partner = [-1] * len(edges)
-        first: dict[int, int] = {}
-        for x, e in enumerate(edges):
-            y = first.setdefault(e, x)
-            if y != x:
-                if partner[y] != -1:
-                    raise InconsistentEdges(f"edge {e} appears more than twice")
-                partner[x] = y
-                partner[y] = x
-        if -1 in partner:
-            raise InconsistentEdges(f"edge {edges[partner.index(-1)]} appears once")
-        return partner
+        return _pair_corners(self.corner_edges)
 
     @cached_property
     def corner_out(self) -> list[bool]:
@@ -199,6 +187,23 @@ _END_TAIL = "t"
 # the ends at slots 0..3 of a negative crossing, then of a positive one
 _SLOT_ENDS = ((_END_HEAD, _END_HEAD, _END_TAIL, _END_TAIL),
               (_END_HEAD, _END_TAIL, _END_TAIL, _END_HEAD))
+
+
+def _pair_corners(edges: list[int]) -> list[int]:
+    """Corner -> the corner at the other end of its edge, given each
+    corner's edge id; every id must be used exactly twice."""
+    partner = [-1] * len(edges)
+    first: dict[int, int] = {}
+    for x, e in enumerate(edges):
+        y = first.setdefault(e, x)
+        if y != x:
+            if partner[y] != -1:
+                raise InconsistentEdges(f"edge {e} appears more than twice")
+            partner[x] = y
+            partner[y] = x
+    if -1 in partner:
+        raise InconsistentEdges(f"edge {edges[partner.index(-1)]} appears once")
+    return partner
 
 
 class _Builder:
@@ -489,40 +494,27 @@ def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
 # ---------------------------------------------------------------------------
 
 _TUPLE_RE = re.compile(r"[Xx]?\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
-_TOKEN_RE = re.compile(r"[Xx]?\s*\([^)]*\)|O|\S+")
+# a tuple, a loop marker, or any other run of characters up to a comma
+# or whitespace, which parse_pd rejects
+_TOKEN_RE = re.compile(r"[Xx]?\s*\([^)]*\)|O|[^\s,]+")
 
 
 def parse_pd(text: str, name: str | None = None) -> "LinkDiagram":
-    """Parse a PD code: comma/whitespace separated 4-tuples ``X(a,b,c,d)``
-    (or bare ``(a,b,c,d)``), plus ``O`` markers for crossing-free loops.
-
-    Orientations are reconstructed from the convention that slot 0 is the
-    incoming under-strand and edges are numbered consecutively along each
-    component."""
+    """Parse a PD code: 4-tuples ``X(a,b,c,d)`` (or bare ``(a,b,c,d)``)
+    and ``O`` markers for crossing-free loops, separated by commas and
+    any whitespace; any other token is malformed.  Edge ids are labels,
+    as in link JSON, so 0 is one.  Orientations follow the PD convention
+    (see ``assemble_pd``)."""
     tuples: list[tuple[int, int, int, int]] = []
     nloops = 0
-    rest = text.strip()
-    pos = 0
-    while pos < len(rest):
-        m = _TOKEN_RE.match(rest, pos)
-        if m is None:
-            break
-        tok = m.group(0).strip().strip(",")
-        pos = m.end()
-        while pos < len(rest) and rest[pos] in ", \t\n":
-            pos += 1
-        if not tok:
-            continue
+    for tok in _TOKEN_RE.findall(text):
         if tok == "O":
             nloops += 1
             continue
         tm = _TUPLE_RE.fullmatch(tok)
         if tm is None:
             raise MalformedPD(f"unrecognized PD token {tok!r}")
-        a, b, c, dd = (int(tm.group(i)) for i in range(1, 5))
-        if min(a, b, c, dd) < 1:
-            raise MalformedPD("edge ids must be positive")
-        tuples.append((a, b, c, dd))
+        tuples.append(tuple(map(int, tm.groups())))
     if not tuples and nloops == 0:
         raise MalformedPD("empty PD code")
     return assemble_pd(tuples, nloops, name, strict_under=True)
@@ -536,102 +528,56 @@ def assemble_pd(
 ) -> LinkDiagram:
     """Build a diagram from raw PD tuples, inferring orientations.
 
-    With ``strict_under`` every tuple's slot 0 must be the incoming
-    under-strand (the PD convention); components never passing under are
-    oriented along increasing edge numbering.  Without it the
-    under-strand may flow either way (tuples get rotated as needed) and
-    orientations are chosen deterministically."""
+    Corner 4c+s is slot s of tuple c.  A strand enters at corner x and
+    leaves at x ^ 2, so the heads of one orientation of a component are
+    the orbit of x -> partner[x ^ 2] from the first corner of its least
+    edge, and those of the other are the corners x ^ 2.  With
+    ``strict_under`` slot 0 is the incoming under-strand (the PD
+    convention), so a walk meeting slot 0 keeps its orientation, one
+    meeting slot 2 reverses it and one meeting both is a conflict.
+    Without it, tuples are rotated as needed.  A component passing only
+    over, or in free mode a conflicted one, goes along increasing edge
+    numbers: the way with more steps e -> e + 1, the walk's on a tie."""
     if nloops < 0:
         raise MalformedPD(f"loops must be non-negative, got {nloops}")
-    occ: dict[int, list[Corner]] = {}
-    for ci, tup in enumerate(tuples):
-        for s, e in enumerate(tup):
-            occ.setdefault(e, []).append((ci, s))
-    for e, places in occ.items():
-        if len(places) != 2:
-            raise InconsistentEdges(f"edge {e} used {len(places)} times")
-
-    def partner(corner: Corner) -> Corner:
-        a, b = occ[tuples[corner[0]][corner[1]]]
-        return b if corner == a else a
-
-    def orient_cycle(e0: int, start_head: Corner) -> dict[int, Corner] | None:
-        """Propagate head assignments along the strand walk starting by
-        declaring start_head the head of e0; None when inconsistent."""
-        out: dict[int, Corner] = {}
-        e, h = e0, start_head
-        while True:
-            out[e] = h
-            c, s = h
-            e_next = tuples[c][(s + 2) % 4]
-            h_next = partner((c, (s + 2) % 4))
-            if e_next == e0:
-                return out if h_next == start_head else None
-            if e_next in out:
-                return None
-            e, h = e_next, h_next
-
-    def under_consistent(heads: dict[int, Corner]) -> bool:
-        for e in heads:
-            for corner in occ[e]:
-                if corner[1] == 0 and heads[e] != corner:
-                    return False
-                if corner[1] == 2 and heads[e] == corner:
-                    return False
-        return True
-
-    heads: dict[int, Corner] = {}
-    seen: set[int] = set()
-    for e0 in sorted(occ):
-        if e0 in seen:
-            continue
-        fwd = orient_cycle(e0, occ[e0][0])
-        bwd = orient_cycle(e0, occ[e0][1])
-        if fwd is None or bwd is None:
-            raise MalformedPD(f"strand through edge {e0} does not close up")
-        seen |= set(fwd)
-        candidates = [h for h in (fwd, bwd) if under_consistent(h)]
-        if strict_under and not candidates:
+    edges = [e for t in tuples for e in t]
+    partner = _pair_corners(edges)
+    # the first corner of each edge, in order of edge id
+    firsts = sorted((x for x, y in enumerate(partner) if x < y), key=edges.__getitem__)
+    head = [False] * len(edges)
+    for x0 in firsts:
+        if head[x0] or head[partner[x0]]:
+            continue  # on a component already walked
+        walk = [x0]
+        while (x := partner[walk[-1] ^ 2]) != x0:
+            walk.append(x)
+        under = {x & 3 for x in walk} & {0, 2}
+        if strict_under and len(under) == 2:
             raise OrientationConflict(
-                f"component {sorted(fwd)} cannot satisfy the under-strand convention"
+                f"component {sorted(edges[x] for x in walk)} cannot satisfy "
+                "the under-strand convention"
             )
-        if len(candidates) == 1:
-            heads.update(candidates[0])
-            continue
-        # all-over component (or free mode): orient along increasing ids
-        pool = candidates or [fwd, bwd]
-        heads.update(max(pool, key=lambda h: _ascents(h, occ, tuples, partner)))
+        if len(under) == 1:
+            forward = 0 in under
+        else:
+            steps = [(edges[x], edges[x ^ 2]) for x in walk]
+            forward = sum(b == a + 1 for a, b in steps) >= sum(a == b + 1 for a, b in steps)
+        for x in walk:
+            head[x if forward else x ^ 2] = True
 
     # the builder indexes edges by id, so renumber them 1..m in the same
     # order, which keeps freeze's component order and walk starts
-    rank = {e: i for i, e in enumerate(sorted(occ), 1)}
+    rank = {edges[x]: i for i, x in enumerate(firsts, 1)}
     b = _Builder()
     b.loops = nloops
     b.name = name
     b._next_edge = len(rank) + 1
-    for ci, tup in enumerate(tuples):
-        slots: list[tuple[int, str]] = []
-        for s, e in enumerate(tup):
-            end = _END_HEAD if heads[e] == (ci, s) else _END_TAIL
-            slots.append((rank[e], end))
-        if slots[0][1] != _END_HEAD:
-            if strict_under:
-                raise OrientationConflict(f"crossing {ci}: under-strand reversed")
-            slots = slots[2:] + slots[:2]
-        if slots[2][1] != _END_TAIL or {slots[1][1], slots[3][1]} != {"h", "t"}:
-            raise OrientationConflict(f"crossing {ci}: inconsistent orientation")
-        b.add_crossing(slots)
+    for c in range(0, len(edges), 4):
+        slots = [(rank[edges[x]], _END_HEAD if head[x] else _END_TAIL)
+                 for x in range(c, c + 4)]
+        # only free mode leaves an under-strand flowing from slot 2
+        b.add_crossing(slots if head[c] else slots[2:] + slots[:2])
     return b.freeze()
-
-
-def _ascents(heads: dict[int, Corner], occ, tuples, partner) -> int:
-    score = 0
-    for e, h in heads.items():
-        c, s = h
-        nxt = tuples[c][(s + 2) % 4]
-        if nxt == e + 1:
-            score += 1
-    return score
 
 
 def serialize_pd(d: LinkDiagram) -> str:
@@ -651,15 +597,23 @@ def to_json_dict(d: LinkDiagram, framings: list[int] | None = None) -> dict:
     return out
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer: an int that is not a bool.  Floats, strings and
+    true/false are malformed, never coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise MalformedPD(f"{what} must be an integer, got {value!r}")
+
+
 def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
     try:
-        pd = [tuple(int(x) for x in row) for row in data["pd"]]
-        nloops = int(data.get("loops", 0))
+        pd = [tuple(json_int(x, "pd entry") for x in row) for row in data["pd"]]
+        nloops = json_int(data.get("loops", 0), "loops")
         name = data.get("name") or None
         framings = data.get("framings")
         if framings is not None:
-            framings = [int(x) for x in framings]
-    except (KeyError, TypeError, ValueError) as exc:
+            framings = [json_int(x, "framing") for x in framings]
+    except (KeyError, TypeError) as exc:
         raise MalformedPD(f"bad link JSON: {exc}") from exc
     if any(len(row) != 4 for row in pd):
         raise MalformedPD("pd rows must have four entries")

@@ -255,3 +255,71 @@ def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
         assert [r["ok"] for r in rows] == [True, False]
     else:
         assert out == ""
+
+
+TREFOIL_TEXT = "X(4,2,5,1), X(6,4,1,3), X(2,6,3,5)"
+
+
+@pytest.mark.parametrize("argv, link", [
+    (["trace", "{link}"], {"pd": [[4.9, 2, 5, 1], [6, 4, 1, 3], [2, 6, 3, 5]],
+                           "loops": 1.7, "framings": [2.5, True]}),
+    (["trace", "{link}"], {**HOPF_JSON, "loops": 1.7}),
+    (["trace", "{link}"], {**HOPF_JSON, "framings": [2.5, 0]}),
+    (["trace", "{link}"], {**HOPF_JSON, "framings": [True, 0]}),
+    (["parse", "{link}"], {"pd": ["4251", "6413", "2635"]}),
+    (["parse", "{link}"], {"pd": [[1.0, 4, 2, 3], [4, 1, 3, 2]]}),
+    (["check-schoenflies", "{link}"], {"pd": [], "loops": 2, "dotted": [0.0]}),
+    (["check-schoenflies", "{link}"], {"pd": [], "loops": 2, "dotted": [False]}),
+    (["knotify", "--catalog", "hopf:+", "--bands", "[[1,3,1.9]]"], None),
+    (["knotify", "--catalog", "hopf:+", "--bands", "[[1.0,3]]"], None),
+    (["knotify", "--catalog", "hopf:+", "--bands", "[[1,3,true]]"], None),
+    (["knotify", "--catalog", "unlink:2", "--bands", '[[["loop",0.0],["loop",1]]]'],
+     None),
+])
+def test_json_integers_are_never_coerced(tmp_path, capsys, argv, link):
+    path = tmp_path / "link.json"
+    if link is not None:
+        path.write_text(json.dumps(link))
+    code, out = run(capsys, *(a.format(link=path) for a in argv))
+    assert code == 2
+    assert out == ""
+
+
+def test_pd_text_in_check_schoenflies_and_batch(tmp_path, capsys):
+    """Every command that reads a link file reads PD text as well."""
+    text = tmp_path / "unlink.txt"
+    text.write_text("O, O")
+    code, out = run(capsys, "check-schoenflies", str(text))
+    assert code == 0
+    assert json.loads(out)["verdict"]["status"] == "pass-necessary"
+    trefoil = tmp_path / "trefoil.txt"
+    trefoil.write_text(TREFOIL_TEXT)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{"file": str(trefoil)},
+                                                {"catalog": "trefoil:+"}]}))
+    code, out = run(capsys, "batch", str(manifest))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [True, True]
+    assert rows[0]["report"]["sigma"] == rows[1]["report"]["sigma"] == -2
+    code, invariants = run(capsys, "invariants", str(trefoil))
+    assert code == 0
+    assert json.loads(invariants)["sigma"] == -2
+
+
+@pytest.mark.parametrize("text", [
+    "X(1,1,1,2), X(2,3,3,4)",                  # an edge used other than twice
+    "X(1,2,3,4), X(1,4,3,2)",                  # an under-strand conflict
+    '{"pd": [[1,4,2,3],[4,1,3,2]], "loops": -1}',
+    " \n",                                     # an empty code
+    "X(4,2,5,1) Q",                            # an unknown token
+    "X(1,3,2,4), X(2,4,1,3)",                  # a non-planar code
+], ids=["edge-count", "under-conflict", "negative-loops", "empty", "token",
+        "non-planar"])
+@pytest.mark.parametrize("command", ["parse", "check-schoenflies"])
+def test_input_checks_exit_2(tmp_path, capsys, text, command):
+    path = tmp_path / "link.txt"
+    path.write_text(text)
+    code, out = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
