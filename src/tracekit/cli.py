@@ -42,9 +42,9 @@ def _read_link(path: str) -> tuple[LinkDiagram, list[int] | None, dict]:
     """(diagram, JSON framings, JSON object) from a file holding link
     JSON, which starts with ``{``, or a PD code in text form."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not text.lstrip().startswith("{"):
         return parse_pd(text), None, {}
@@ -244,8 +244,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_batch(args) -> int:
     try:
-        manifest = json.loads(open(args.manifest).read())
-    except OSError as exc:
+        with open(args.manifest, encoding="utf-8") as fh:
+            manifest = json.loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read manifest {args.manifest}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"bad manifest JSON: {exc}") from exc

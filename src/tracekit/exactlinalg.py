@@ -1,18 +1,21 @@
 """Exact integer and rational linear algebra.
 
-Everything here works over arbitrary-precision Python ints (or Fractions
-for congruence pivoting); no floating point is used anywhere.  Matrices
-are lists of lists, row major, and inputs are never mutated.
+Everything here works over arbitrary-precision Python ints; no floating
+point is used anywhere.  ``congruence_eliminate`` also takes ``Fraction``
+entries, which it scales to integers first.  Matrices are lists of
+lists, row major, and inputs are never mutated.
 
 ``congruence_eliminate`` is the symmetric-form kernel: sparse
-minimum-degree congruence elimination that yields the signature and the
-determinant in one pass.  Invariant reports use it on Goeritz forms, and
-``signature_symmetric`` wraps it with input checks.  ``det_int`` is
-dense Bareiss elimination, kept as the independent determinant.
+minimum-degree congruence elimination, fraction-free in the manner of
+Bareiss, that yields the signature and the determinant in one pass.
+Invariant reports use it on Goeritz forms, and ``signature_symmetric``
+wraps it with input checks.  ``det_int`` is dense Bareiss elimination,
+kept as the independent determinant.
 """
 
 import heapq
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalInvariantError
 
@@ -194,43 +197,85 @@ def congruence_eliminate(m) -> tuple[int, int, int | Fraction]:
     to row and column i for some nonzero entry (i, j): the hyperbolic
     step makes the diagonal entry 2 * m[i][j] and, being unimodular,
     keeps the determinant and its sign.  The input must be square and
-    symmetric; it is not checked here."""
-    rows = {i: {j: Fraction(x) for j, x in enumerate(row) if x}
-            for i, row in enumerate(m)}
+    symmetric; it is not checked here.
+
+    The elimination is fraction-free (symmetric Bareiss) and uses only
+    exact int division.  A rational input is first multiplied by the lcm
+    of its nonzero entries' denominators, and det is divided back.
+    Invariant: after rational pivots s_1, ..., s_t, the rational Schur
+    complement S is held as the integers A = D * S, where D = s_1 * ...
+    * s_t is also the last integer pivot value (D = 1 before the
+    first).  By Sylvester's identity each entry of D * S is a minor of
+    the input, taken after the hyperbolic steps, which are unimodular
+    congruences; so a pivot p = A[i][i] updates
+    A[j][k] <- (p * A[j][k] - A[j][i] * A[i][k]) // D exactly, and
+    p * S[j][k] = A[j][k] * p // D exactly where A[j][i] or A[i][k] is
+    zero.  The rational pivot is p / D, so its sign is sign(p) *
+    sign(D), and the final D is the determinant.  Rows are rescaled
+    lazily: row j holds level[j] * S for the D at which it was last
+    written, and a pivot rescales only its neighbour rows, dividing by
+    level[j] in place of D, so rows away from the pivot stay as they
+    are and the work stays sparse."""
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    scale = lcm(*(x.denominator for r in rows.values() for x in r.values()))
+    if scale != 1:
+        rows = {i: {j: (x * scale).numerator for j, x in r.items()}
+                for i, r in rows.items()}
+    # level[j]: the D at which row j was last brought up to date; row j
+    # holds level[j] * S, and D * S is an integer, so x * D // level[j] is
+    # exact for each of its entries x
+    level = [1] * len(rows)
     # (off-diagonal degree, index) of every row with a nonzero diagonal;
     # a row pushes a fresh entry when it changes, and stale ones are skipped
     heap = [(len(r) - 1, i) for i, r in rows.items() if i in r]
     heapq.heapify(heap)
     pos = neg = 0
-    det = Fraction(1)
+    d = 1
+
+    def current(i):
+        """Row i brought up to date, so that it holds D * S."""
+        r = rows[i]
+        li = level[i]
+        if li != d:
+            for k, x in r.items():
+                r[k] = x * d // li
+            level[i] = d
+        return r
 
     def eliminate(i):
-        nonlocal pos, neg, det
-        row = rows.pop(i)
+        nonlocal pos, neg, d
+        row = current(i)
+        del rows[i]
         p = row.pop(i)
-        if p > 0:
+        if (p > 0) == (d > 0):
             pos += 1
         else:
             neg += 1
-        det *= p
         nbrs = list(row.items())
-        for j, _ in nbrs:
-            del rows[j][i]
+        # a neighbour row j still holds level[j] * S; its new entries are
+        # p * S', so the update divides by level[j] instead of by D
+        stale = [(j, rows[j].pop(i), level[j]) for j, _ in nbrs]
         # Schur complement: m[j][k] -= m[j][i] * m[i][k] / p
-        for a, (j, mji) in enumerate(nbrs):
-            f = mji / p
+        for a, (j, mji, lj) in enumerate(stale):
             rj = rows[j]
             for k, mik in nbrs[a:]:
-                v = rj.get(k, 0) - f * mik
+                v = (p * rj.get(k, 0) - mji * mik) // lj
                 if v:
                     rj[k] = rows[k][j] = v
                 else:
                     rj.pop(k, None)
                     rows[k].pop(j, None)
-        for j, _ in nbrs:
+        for j, _, lj in stale:
             rj = rows[j]
+            if lj != p:
+                # entries outside the pivot's neighbourhood: S unchanged
+                for k, x in rj.items():
+                    if k not in row:
+                        rj[k] = x * p // lj
+            level[j] = p
             if j in rj:
                 heapq.heappush(heap, (len(rj) - 1, j))
+        d = p
 
     while rows:
         if heap:
@@ -245,20 +290,23 @@ def congruence_eliminate(m) -> tuple[int, int, int | Fraction]:
             return pos, neg, 0  # the remaining block is zero
         _, i = min(live)
         j = min(rows[i], key=lambda k: (len(rows[k]), k))
-        ri, rj = rows[i], rows[j]
-        mij = ri[j]
+        ri, rj = current(i), current(j)
         for k, v in rj.items():
             if k != i and k != j:
-                w = ri.get(k, 0) + v
+                # column i += column j in row k, at row k's own level
+                rk = rows[k]
+                w = rk.get(i, 0) + rk[j]
                 if w:
-                    ri[k] = rows[k][i] = w
+                    rk[i] = w
+                    ri[k] = ri.get(k, 0) + v
                 else:
-                    del ri[k], rows[k][i]
-        ri[i] = 2 * mij  # m[i][i] + 2 m[i][j] + m[j][j] with both ends zero
+                    del rk[i], ri[k]
+        ri[i] = 2 * ri[j]  # m[i][i] + 2 m[i][j] + m[j][j] with both ends zero
         eliminate(i)
-    if det.denominator == 1:
-        return pos, neg, det.numerator
-    return pos, neg, det
+    if scale == 1:
+        return pos, neg, d
+    det = Fraction(d, scale ** len(m))
+    return pos, neg, det.numerator if det.denominator == 1 else det
 
 
 def signature_symmetric(m) -> int:
@@ -267,12 +315,11 @@ def signature_symmetric(m) -> int:
     n = len(m)
     if n == 0:
         return 0
-    s = [[Fraction(x) for x in row] for row in m]
-    if any(len(row) != n for row in s):
+    if any(len(row) != n for row in m):
         raise ValueError("signature of a non-square matrix")
     for i in range(n):
         for j in range(i):
-            if s[i][j] != s[j][i]:
+            if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    pos, neg, _ = congruence_eliminate(s)
+    pos, neg, _ = congruence_eliminate(m)
     return pos - neg

@@ -96,19 +96,20 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, GoeritzData]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    classes = sorted({find(v) for v in vertices})
+    class_of = {v: find(v) for v in vertices}
+    classes = sorted(set(class_of.values()))
     if d.crossings and len(classes) != 2:
         raise InternalInvariantError(f"{len(classes)} shading classes")
 
     out = []
     for shading, root in enumerate(classes):
-        verts = sorted(v for v in vertices if find(v) == root)
+        verts = [v for v in vertices if class_of[v] == root]
         index = {v: i for i, v in enumerate(verts)}
         n = len(verts)
         g = [[0] * n for _ in range(n)]
         correction = 0
         for a, b, weight, crossing_sign in edges:
-            if find(a) != root:
+            if class_of[a] != root:
                 continue
             if weight == crossing_sign:
                 correction += weight

@@ -609,7 +609,10 @@ def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
     try:
         pd = [tuple(json_int(x, "pd entry") for x in row) for row in data["pd"]]
         nloops = json_int(data.get("loops", 0), "loops")
-        name = data.get("name") or None
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise MalformedPD(f"link name must be a string, not {name!r}")
+        name = name or None
         framings = data.get("framings")
         if framings is not None:
             framings = [json_int(x, "framing") for x in framings]

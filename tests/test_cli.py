@@ -323,3 +323,46 @@ def test_input_checks_exit_2(tmp_path, capsys, text, command):
     code, out = run(capsys, command, str(path))
     assert code == 2
     assert out == ""
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    """A file that is not UTF-8 exits 2: from ``parse``, as a batch row
+    (the input band) and as the manifest itself."""
+    bad = tmp_path / "bad.pd"
+    bad.write_bytes(b"\xff\xfeX(1,2,3,4)")
+    code, out = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"file": str(bad)}, {"catalog": "hopf:+"}]))
+    code, out = run(capsys, "batch", str(manifest))
+    assert code == 0
+    data = json.loads(out)
+    assert [r["ok"] for r in data["rows"]] == [False, True]
+    assert data["summary"]["by_band"] == {"input": 1, "precondition": 0,
+                                          "internal": 0}
+    manifest.write_bytes(b'\xff[{"catalog": "hopf:+"}]')
+    code, out = run(capsys, "batch", str(manifest))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", [[1], 3, {}], ids=["list", "int", "object"])
+@pytest.mark.parametrize("command", ["parse", "invariants"])
+def test_link_name_must_be_a_string(tmp_path, capsys, command, name):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({**HOPF_JSON, "name": name}))
+    code, out = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("name, label", [("hopf", "hopf"), ("", ""), (None, "")])
+def test_link_name_string_empty_or_null(tmp_path, capsys, name, label):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({**HOPF_JSON, "name": name}))
+    code, out = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert json.loads(out)["link"] == label
+    d, _ = ld.from_json_dict({**HOPF_JSON, "name": name})
+    assert d.name == (name or None)

@@ -136,6 +136,12 @@ def test_signature_rejects_asymmetric():
         signature_symmetric([[0, 1], [2, 0]])
 
 
+@pytest.mark.parametrize("m", [[[1, 2]], [[1, 2], [2]], [[1], [2]]])
+def test_signature_rejects_non_square(m):
+    with pytest.raises(ValueError):
+        signature_symmetric(m)
+
+
 # -- sparse congruence kernel ------------------------------------------------------
 
 def lagrange_signature(m) -> int:
