@@ -2,14 +2,25 @@
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 4 internal invariant breach or any exception from outside the library's
-error hierarchy (always a bug).  Identical inputs produce
-byte-identical reports; batch rows follow manifest order, and a batch
-exits 4 when any row failed outside the input and precondition bands.
+error hierarchy (always a bug).  Malformed input includes a usage error,
+an option given an empty value (``--framings ""``, ``--partition ""``,
+``--bands ""``, ``--catalog ""``, ``--out ""``) and an ``--out`` path that
+cannot be written.  Identical inputs produce byte-identical reports;
+batch rows follow manifest order, and a batch exits 4 when any row
+failed outside the input and precondition bands.
+
+``main(argv)`` returns the exit code, usage errors and ``--help``
+included, and may be called any number of times in one process: the
+argument parser is built once per process and reused, and no call's
+options carry over to the next.  ``build_parser()`` still returns a
+fresh parser.
+
 The test suite honors TRACEKIT_SEED for reproducing randomized property
 checks.
 """
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -27,13 +38,15 @@ EXIT_INTERNAL = 4
 
 def _load_catalog(entry: str) -> LinkDiagram:
     name, _, param = entry.partition(":")
+    if not name:
+        raise InputError(f"empty catalog entry name in {entry!r}")
     return catalog(name, param if param else None)
 
 
 def _load_link(args) -> tuple[LinkDiagram, list[int] | None, dict]:
-    if getattr(args, "catalog", None):
+    if args.catalog is not None:
         return _load_catalog(args.catalog), None, {}
-    if not getattr(args, "input", None):
+    if args.input is None:
         raise InputError("need an input file or --catalog")
     return _read_link(args.input)
 
@@ -63,7 +76,7 @@ def _parse_framings(text: str) -> tuple[int, ...]:
 
 
 def _framings(args, diagram: LinkDiagram, json_framings) -> tuple[int, ...]:
-    if getattr(args, "framings", None):
+    if args.framings is not None:
         return _parse_framings(args.framings)
     if json_framings is not None:
         return tuple(json_framings)
@@ -112,11 +125,14 @@ def _parse_bands(text: str) -> list[BandSpec]:
 
 def _emit(args, payload: str):
     payload = payload + "\n"
-    if getattr(args, "out", None):
+    if args.out is None:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _as_table(data: dict, indent: str = "") -> str:
@@ -137,7 +153,7 @@ def _as_table(data: dict, indent: str = "") -> str:
 
 
 def _render(args, data: dict) -> str:
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         return _as_table(data)
     return json.dumps(data, sort_keys=True)
 
@@ -160,7 +176,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_trace(args) -> int:
     d, json_framings, _ = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
-    if getattr(args, "partition", None):
+    if args.partition is not None:
         part = _parse_partition(args.partition, d.num_components)
         h = traces.high_order_trace(link, part)
         payload = traces.trace_json(h)
@@ -176,7 +192,7 @@ def _cmd_trace(args) -> int:
 def _cmd_knotify(args) -> int:
     d, json_framings, _ = _load_link(args)
     link = traces.FramedLink(d, _framings(args, d, json_framings))
-    bands = _parse_bands(args.bands) if getattr(args, "bands", None) else None
+    bands = _parse_bands(args.bands) if args.bands is not None else None
     kn = traces.knotify(link, bands)
     data = {
         "construction": "knotify",
@@ -215,7 +231,7 @@ def _cmd_check_schoenflies(args) -> int:
     except TypeError as exc:
         raise InputError(f"bad dotted list: {exc}") from exc
     n_attach = d.num_components - len(dotted)
-    if getattr(args, "framings", None):
+    if args.framings is not None:
         framings = _parse_framings(args.framings)
     if framings is None:
         framings = [0] * n_attach
@@ -233,7 +249,7 @@ def _cmd_check_schoenflies(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if getattr(args, "name", None):
+    if args.name is not None:
         d = _load_catalog(args.name)
         _emit(args, json.dumps(linkdiag.to_json_dict(d), sort_keys=True))
     else:
@@ -362,9 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reuses: built on the first call, not at import, and
+# never mutated after, so each parse_args starts from the same state.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code; argparse's own
+    exits (2 for a usage error, 0 after ``--help``) are returned too."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,8 +246,9 @@ HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
     (["check-schoenflies"], {}, 2),
     (["trace", "{link}"], {"link": {**HOPF_JSON, "framings": ["a", 0]}}, 2),
     (["batch", "{manifest}"], {"manifest": [{"catalog": "hopf:+"}, 5]}, 0),
+    (["catalog", ""], {}, 2),
 ], ids=["catalog-param", "band-arc", "schoenflies-no-input", "json-framings",
-        "manifest-entry"])
+        "manifest-entry", "catalog-empty-name"])
 def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))
@@ -366,3 +372,152 @@ def test_link_name_string_empty_or_null(tmp_path, capsys, name, label):
     assert json.loads(out)["link"] == label
     d, _ = ld.from_json_dict({**HOPF_JSON, "name": name})
     assert d.name == (name or None)
+
+
+# -- options and exit codes ---------------------------------------------------
+
+LINK_COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
+                 "check-schoenflies")
+# a command line that exits 0, per command
+BASE_ARGV = {
+    **{command: [command, "--catalog", "hopf:+"] for command in LINK_COMMANDS},
+    "catalog": ["catalog", "trefoil:+"],
+    "batch": ["batch", "{manifest}"],
+}
+# option -> the commands that take it
+OPTION_COMMANDS = {
+    "--partition": ("trace",),
+    "--bands": ("knotify",),
+    "--framings": ("trace", "knotify", "check-sphere", "check-schoenflies"),
+    "--catalog": LINK_COMMANDS,
+    "--out": tuple(BASE_ARGV),
+}
+
+
+def _argv(tmp_path, argv):
+    manifest, link = tmp_path / "manifest.json", tmp_path / "link.json"
+    if not manifest.exists():
+        manifest.write_text(json.dumps([{"catalog": "trefoil:+"}]))
+        link.write_text(json.dumps(HOPF_JSON))
+    return [a.format(manifest=manifest, link=link, out=tmp_path) for a in argv]
+
+
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "report.json"
+    code = cli.main(_argv(tmp_path, BASE_ARGV[command]) + ["--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"input error: cannot write {target}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, command", [
+    (option, command) for option, commands in OPTION_COMMANDS.items()
+    for command in commands])
+def test_empty_option_value_exits_2(tmp_path, capsys, option, command):
+    """An option given as "" is malformed input, not an absent option."""
+    base = [command, "{link}"] if option == "--catalog" else BASE_ARGV[command]
+    base = _argv(tmp_path, base)
+    assert run(capsys, *base)[0] == 0
+    code, out = run(capsys, *base, option, "")
+    assert code == 2
+    assert out == ""
+
+
+def test_main_returns_argparse_exit_code(capsys):
+    assert cli.main(["invariants", "--nope"]) == 2
+    assert "unrecognized arguments: --nope" in capsys.readouterr().err
+    assert cli.main([]) == 2
+    capsys.readouterr()
+    assert cli.main(["--help"]) == 0
+    assert "usage: tracekit" in capsys.readouterr().out
+
+
+# -- the parser is built once per process ---------------------------------------
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    argvs = [_argv(tmp_path, argv) for argv in BASE_ARGV.values()]
+    cli.main(argvs[0])  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [cli.main(argvs[k % len(argvs)]) for k in range(50)]
+    capsys.readouterr()
+    assert codes == [0] * 50
+    assert built == []
+    cli.build_parser()
+    assert len(built) == 1 + len(BASE_ARGV)  # the parser and its subparsers
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+MIXED_SEQUENCE = [
+    ["invariants", "--catalog", "figure8", "--format", "table"],
+    ["invariants", "--catalog", "figure8"],
+    ["trace", "--catalog", "hopf:+", "--framings=-1,-1", "--partition", "1,2:g=0",
+     "--out", "{out}/trace.json"],
+    ["trace", "--catalog", "hopf:+"],
+    ["knotify", "--catalog", "borromean", "--framings", "0,0,0",
+     "--bands", "[[2,10],[1,6]]", "--format", "table"],
+    ["knotify", "--catalog", "borromean"],
+    ["check-sphere", "--catalog", "unlink:2", "--framings", "1,0"],
+    ["check-sphere", "--nope"],
+    ["check-sphere", "--catalog", "unlink:2"],
+    ["catalog", "trefoil:+", "--out", "{out}/catalog.json"],
+    ["catalog"],
+    ["batch", "{manifest}", "--format", "table"],
+    ["batch", "{manifest}"],
+]
+
+
+def _run_sequence(directory, capsys, fresh):
+    directory.mkdir()
+    results = []
+    for argv in MIXED_SEQUENCE:
+        if fresh:
+            cli._parser.cache_clear()
+        code = cli.main(_argv(directory, argv))
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_text() for p in sorted(directory.glob("*.json"))
+                 if p.name not in ("manifest.json", "link.json")}
+        for p in files:
+            (directory / p).unlink()
+        results.append((argv, code, out, err, files))
+    return results
+
+
+def test_no_state_carries_over_between_calls(tmp_path, capsys):
+    """Each call on the reused parser answers as a freshly built one would."""
+    reused = _run_sequence(tmp_path / "reused", capsys, fresh=False)
+    fresh = _run_sequence(tmp_path / "fresh", capsys, fresh=True)
+    assert reused == fresh
+    assert [code for _, code, *_ in reused] == [0] * 7 + [2] + [0] * 5
+    assert [sorted(files) for *_, files in reused if files] == [
+        ["trace.json"], ["catalog.json"]]
+
+
+def test_python_m_tracekit_matches_main(tmp_path, capsys):
+    """``python -m tracekit`` is the one-shot process path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["invariants", "--catalog", "trefoil:+"]
+    proc = subprocess.run([sys.executable, "-m", "tracekit", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    code, out = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+    assert code == 0
+    proc = subprocess.run([sys.executable, "-m", "tracekit", "invariants", "--nope"],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"unrecognized arguments: --nope" in proc.stderr
