@@ -37,10 +37,12 @@ EXIT_INTERNAL = 4
 
 
 def _load_catalog(entry: str) -> LinkDiagram:
-    name, _, param = entry.partition(":")
+    name, colon, param = entry.partition(":")
     if not name:
         raise InputError(f"empty catalog entry name in {entry!r}")
-    return catalog(name, param if param else None)
+    if colon and not param:
+        raise InputError(f"empty catalog parameter in {entry!r}")
+    return catalog(name, param if colon else None)
 
 
 def _load_link(args) -> tuple[LinkDiagram, list[int] | None, dict]:

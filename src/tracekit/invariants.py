@@ -65,10 +65,7 @@ class GoeritzData:
 def _checkerboard_edges(d: LinkDiagram):
     """Edges of the two shading graphs: each crossing joins its opposite
     face corners, (0,2) with weight +1 and (1,3) with weight -1."""
-    face_of = [0] * (4 * len(d.crossings))
-    for i, f in enumerate(d.face_corners):
-        for x in f:
-            face_of[x] = i
+    face_of = d.face_of
     edges = []
     for c in d.crossings:
         x = 4 * c.id

@@ -58,6 +58,8 @@ class LinkDiagram:
     and shared by every caller, who must not mutate it.  The memo lives
     in the instance's ``__dict__``: it is no field, so equality, hashing
     and serialization ignore it, and it goes away with the diagram.
+    ``freeze`` fills ``partner`` from its component walk; a diagram built
+    directly computes it on first use.
 
     The memo numbers corner (c, s) as the int 4c+s, so crossing i must
     have id i."""
@@ -111,18 +113,17 @@ class LinkDiagram:
         return faces(self)
 
     @cached_property
-    def face_walks(self) -> list[list[tuple[int, bool]]]:
-        return face_edge_parities(self)
+    def face_of(self) -> list[int]:
+        """Corner -> index of its face in ``face_corners``."""
+        face_of = [0] * (4 * len(self.crossings))
+        for i, f in enumerate(self.face_corners):
+            for x in f:
+                face_of[x] = i
+        return face_of
 
     @cached_property
-    def edge_faces(self) -> list[list[tuple[int, bool]]]:
-        """Edge -> its (face index, parity) places on the face walks, in
-        face order."""
-        places = [[] for _ in range(max(self.corner_edges, default=0) + 1)]
-        for i, walk in enumerate(self.face_walks):
-            for e, p in walk:
-                places[e].append((i, p))
-        return places
+    def face_walks(self) -> list[list[tuple[int, bool]]]:
+        return face_edge_parities(self)
 
     @cached_property
     def pieces(self) -> list[set[int]]:
@@ -237,10 +238,10 @@ class _Builder:
         return cid
 
     def occurrence(self, edge: int, end: str) -> Corner:
+        occ = (edge, end)
         for cid, slots in self.cross.items():
-            for s, occ in enumerate(slots):
-                if occ == (edge, end):
-                    return (cid, s)
+            if occ in slots:
+                return cid, slots.index(occ)
         raise InternalInvariantError(f"dangling edge end {edge}{end}")
 
     def set_slot(self, corner: Corner, value: tuple[int, str]):
@@ -379,6 +380,18 @@ class _Builder:
         components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
         self.last_edge_map = {e: edge_map[e] for cyc in comps for e in cyc}
         diagram = LinkDiagram(tuple(crossings), components, self.loops, self.name)
+        # the walk found each edge's head and tail, which pair its corners
+        base = [0] * self._next_cross
+        for new_id, cid in enumerate(cross_map):
+            base[cid] = 4 * new_id
+        partner = [0] * (4 * len(crossings))
+        for cyc in comps:
+            for e in cyc:
+                (hc, hs), (tc, ts) = heads[e], tails[e]
+                x, y = base[hc] + hs, base[tc] + ts
+                partner[x] = y
+                partner[y] = x
+        diagram.__dict__["partner"] = partner
         _validate_planarity(diagram)
         if diagram.num_components < 1:
             raise MalformedPD("diagram has no components")
@@ -481,12 +494,26 @@ def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     return [[(edges[x], out[x]) for x in f] for f in d.face_corners]
 
 
+def _corner_before(z: int) -> int:
+    """Corner 4c+s -> corner 4c+s-1 (4c+3 for s = 0)."""
+    return z - 1 if z & 3 else z + 3
+
+
+def _edge_places(d: LinkDiagram, e: int) -> list[tuple[int, bool]]:
+    """The edge's two (face index, parity) places on the face walks: the
+    walk of the face at the corner before each end runs along the edge
+    from that end."""
+    x = d.corner_edges.index(e)
+    face_of, out = d.face_of, d.corner_out
+    return [(face_of[_corner_before(z)], out[z]) for z in (x, d.partner[x])]
+
+
 def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
     """(parity of a, parity of b) over every face whose walk meets both
     edges.  Face walks keep their region on the right, so a parity of
     True puts the face to the right of the edge."""
-    places = d.edge_faces
-    return {(pa, pb) for fa, pa in places[a] for fb, pb in places[b] if fa == fb}
+    places_b = _edge_places(d, b)
+    return {(pa, pb) for fa, pa in _edge_places(d, a) for fb, pb in places_b if fa == fb}
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +632,22 @@ def json_int(value, what: str) -> int:
     raise MalformedPD(f"{what} must be an integer, got {value!r}")
 
 
+def _pd_rows(rows) -> list[tuple]:
+    """The rows of link JSON's ``pd`` as tuples of JSON integers.  Rows
+    of plain ints pass one type test; anything else is read entry by
+    entry, so the first bad entry names itself."""
+    try:
+        pd = [tuple(row) for row in rows]
+    except TypeError:
+        pd = None
+    if pd is None or not all(type(x) is int for row in pd for x in row):
+        pd = [tuple(json_int(x, "pd entry") for x in row) for row in rows]
+    return pd
+
+
 def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
     try:
-        pd = [tuple(json_int(x, "pd entry") for x in row) for row in data["pd"]]
+        pd = _pd_rows(data["pd"])
         nloops = json_int(data.get("loops", 0), "loops")
         name = data.get("name")
         if name is not None and not isinstance(name, str):
@@ -1088,9 +1128,15 @@ def _twist_family(n: int) -> LinkDiagram:
     return d
 
 
+_PARAMETERLESS = ("unknot", "figure8", "whitehead", "borromean")
+
+
 def catalog(name: str, param=None) -> LinkDiagram:
     """Fixed generator diagrams: unknot, unlink(n), hopf(sign),
-    trefoil(sign), figure8, whitehead, borromean, twist_family(n)."""
+    trefoil(sign), figure8, whitehead, borromean, twist_family(n).
+    ``param`` is None for an entry that takes no parameter."""
+    if name in _PARAMETERLESS and param is not None:
+        raise InputError(f"{name} takes no parameter, got {param!r}")
     if name == "unknot":
         return parse_pd("O", "unknot")
     if name == "unlink":

@@ -32,6 +32,7 @@ from .linkdiag import (
     BandSpec,
     LinkDiagram,
     _band_merge_full,
+    _corner_before,
     _face_sides,
     _same_piece,
     _thaw,
@@ -338,7 +339,13 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
     face_edges = [{e for e, _ in walk} for walk in d.face_walks]
-    edge_faces = d.edge_faces
+    # edge -> the faces on its two sides, in increasing order
+    face_of = d.face_of
+    edge_faces: dict[int, list[int]] = {}
+    for z, e in enumerate(d.corner_edges):
+        edge_faces.setdefault(e, []).append(face_of[_corner_before(z)])
+    for places in edge_faces.values():
+        places.sort()
     dist = [None] * len(face_edges)
     via: list[int | None] = [None] * len(face_edges)
     frontier = []
@@ -350,7 +357,7 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
         nxt = []
         for i in frontier:
             for e in face_edges[i]:
-                for j, _ in edge_faces[e]:
+                for j in edge_faces[e]:
                     if dist[j] is None:
                         dist[j] = dist[i] + 1
                         via[j] = e

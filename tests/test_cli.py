@@ -9,7 +9,7 @@ import pytest
 
 from tracekit import cli
 from tracekit import linkdiag as ld
-from tracekit.errors import InternalInvariantError
+from tracekit.errors import InputError, InternalInvariantError
 
 
 def run(capsys, *argv):
@@ -247,8 +247,12 @@ HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
     (["trace", "{link}"], {"link": {**HOPF_JSON, "framings": ["a", 0]}}, 2),
     (["batch", "{manifest}"], {"manifest": [{"catalog": "hopf:+"}, 5]}, 0),
     (["catalog", ""], {}, 2),
+    (["invariants", "--catalog", "figure8:x"], {}, 2),
+    (["invariants", "--catalog", "unknot:7"], {}, 2),
+    (["invariants", "--catalog", "hopf:"], {}, 2),
 ], ids=["catalog-param", "band-arc", "schoenflies-no-input", "json-framings",
-        "manifest-entry", "catalog-empty-name"])
+        "manifest-entry", "catalog-empty-name", "catalog-param-not-taken",
+        "catalog-unknot-param", "catalog-empty-param"])
 def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))
@@ -289,6 +293,42 @@ def test_json_integers_are_never_coerced(tmp_path, capsys, argv, link):
     code, out = run(capsys, *(a.format(link=path) for a in argv))
     assert code == 2
     assert out == ""
+
+
+HOPF_ROW = [4, 1, 3, 2]
+
+
+@pytest.mark.parametrize("pd, message", [
+    ([[1, 4, 2, 3], [4, True, 3, 2]], "pd entry must be an integer, got True"),
+    ([[1, 4, 2.0, 3], HOPF_ROW], "pd entry must be an integer, got 2.0"),
+    ([[1, "4", 2, 3], HOPF_ROW], "pd entry must be an integer, got '4'"),
+    ([[[1], 4, 2, 3], HOPF_ROW], "pd entry must be an integer, got [1]"),
+    ([{"a": 1}, HOPF_ROW], "pd entry must be an integer, got 'a'"),
+    (["1423", HOPF_ROW], "pd entry must be an integer, got '1'"),
+    ([5, HOPF_ROW], "bad link JSON: 'int' object is not iterable"),
+    ([None, HOPF_ROW], "bad link JSON: 'NoneType' object is not iterable"),
+    # the first bad entry is named even when a later row is no list
+    ([[1.5, 4, 2, 3], 5], "pd entry must be an integer, got 1.5"),
+    (7, "bad link JSON: 'int' object is not iterable"),
+], ids=["bool", "float", "string", "list", "dict-row", "string-row", "int-row",
+        "null-row", "entry-before-int-row", "pd-not-a-list"])
+def test_pd_rows_that_are_not_json_integers(tmp_path, capsys, pd, message):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({"pd": pd}))
+    code = cli.main(["parse", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
+def test_catalog_parameters():
+    """An entry that takes no parameter refuses one; None means none."""
+    assert ld.catalog("figure8", None) == ld.catalog("figure8")
+    for name in ("unknot", "figure8", "whitehead", "borromean"):
+        with pytest.raises(InputError):
+            ld.catalog(name, "1")
+    assert ld.catalog("hopf", None) == ld.catalog("hopf", "+")
 
 
 def test_pd_text_in_check_schoenflies_and_batch(tmp_path, capsys):

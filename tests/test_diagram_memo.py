@@ -3,10 +3,13 @@
 ``freeze`` walks the faces and builds the pieces for its planarity
 check, and every later reader takes them from the diagram's memo.  So
 over any run, ``faces`` and ``_pieces`` run at most once per freeze, and
-no caller may change what the memo holds.
+no caller may change what the memo holds.  Band merges, clasps and R2
+pushes read faces from corners, and ``freeze`` pairs corners from its
+own walk, so none of them builds face walks or pairs corners again.
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -16,7 +19,7 @@ from tracekit import traces as tr
 from tracekit.invariants import obstruction_report
 
 MEMOS = ("edge_component", "corner_edges", "partner", "corner_out",
-         "face_corners", "face_walks", "edge_faces", "pieces", "piece_of", "linking")
+         "face_corners", "face_of", "face_walks", "pieces", "piece_of", "linking")
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,29 @@ def test_faces_and_pieces_run_at_most_once_per_freeze(monkeypatch, corpus):
     assert calls["freeze"] > 1000, calls
     assert calls["faces"] <= calls["freeze"]
     assert calls["_pieces"] <= calls["freeze"]
+
+
+def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
+    guarded = {ld._band_merge_full.__code__, ld._r2_insert_mapped.__code__,
+               tr._clasp_insert.__code__, ld._Builder.freeze.__code__}
+    calls = {"face_edge_parities": 0, "_pair_corners": 0}
+
+    def outside_guarded(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            frame = sys._getframe(1)
+            while frame is not None:
+                assert frame.f_code not in guarded, (name, frame.f_code.co_name)
+                frame = frame.f_back
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ld, name, outside_guarded(name, getattr(ld, name)))
+    for d in _corpus():
+        _exercise(d, _edge_pairs(d))
+    # parses pair corners, and direct bands read the face walks
+    assert calls["_pair_corners"] > 0 and calls["face_edge_parities"] > 0, calls
 
 
 def test_memo_is_never_mutated(corpus):

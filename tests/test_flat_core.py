@@ -5,7 +5,9 @@ derived structure in lists.  The references below are the earlier
 implementations over dicts of (crossing, slot) tuples, kept here the way
 ``test_face_chirality`` keeps the trial order; the library must give the
 same faces, pieces, walk parities, face sides and direct bands, and the
-same errors for edges used other than twice.
+same errors for edges used other than twice.  The ``edge_faces`` index
+over the face walks, which face queries read before they went to the
+corners, is kept too, with the transport push that read it.
 """
 
 import itertools
@@ -18,7 +20,13 @@ from conftest import base_seed, random_connected_diagram
 from test_face_chirality import _corpus as chirality_corpus
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
-from tracekit.errors import InconsistentEdges, InternalInvariantError, MalformedPD
+from tracekit.errors import (
+    BadBands,
+    IllegalSite,
+    InconsistentEdges,
+    InternalInvariantError,
+    MalformedPD,
+)
 
 
 # -- references: dicts of (crossing, slot) corners ------------------------------
@@ -115,6 +123,68 @@ def ref_face_sides(walks, a, b):
     return sides
 
 
+def ref_edge_faces(d):
+    """Edge -> its (face index, parity) places on the face walks, in face
+    order: the index the face queries read before they went to corners."""
+    places = [[] for _ in range(max(d.corner_edges, default=0) + 1)]
+    for i, walk in enumerate(ld.face_edge_parities(d)):
+        for e, p in walk:
+            places[e].append((i, p))
+    return places
+
+
+def ref_indexed_face_sides(places, a, b):
+    return {(pa, pb) for fa, pa in places[a] for fb, pb in places[b] if fa == fb}
+
+
+def ref_transport_push(d, comps):
+    """``traces._transport_push`` with its BFS reading ``ref_edge_faces``."""
+    ec = d.edge_component
+    source = min(c for c in comps if c < len(d.components))
+    targets = {c for c in comps if c != source and c < len(d.components)}
+    face_edges = [{e for e, _ in walk} for walk in d.face_walks]
+    edge_faces = ref_edge_faces(d)
+    dist = [None] * len(face_edges)
+    via = [None] * len(face_edges)
+    frontier = []
+    for i, es in enumerate(face_edges):
+        if any(ec[e] in targets for e in es):
+            dist[i] = 0
+            frontier.append(i)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for e in face_edges[i]:
+                for j, _ in edge_faces[e]:
+                    if dist[j] is None:
+                        dist[j] = dist[i] + 1
+                        via[j] = e
+                        nxt.append(j)
+        frontier = nxt
+    candidates = []
+    for i, es in enumerate(face_edges):
+        if dist[i] is None:
+            continue
+        for e in sorted(es):
+            if ec[e] != source:
+                continue
+            if dist[i] == 0:
+                for x in sorted(es):
+                    if ec[x] in targets:
+                        candidates.append((0, i, e, x))
+                        break
+            else:
+                candidates.append((dist[i], i, e, via[i]))
+    for _, _, e, x in sorted(candidates):
+        if e == x:
+            continue
+        try:
+            return ld._r2_insert_mapped(d, e, x)
+        except IllegalSite:
+            continue
+    raise BadBands(f"components {sorted(comps)} cannot be band-connected")
+
+
 def ref_same_piece(d, a, b):
     ends = ref_ends(d)
     piece_of = {cid: i for i, piece in enumerate(ref_pieces(d)) for cid in piece}
@@ -166,13 +236,17 @@ def _split_closures(rng, count):
     return out
 
 
-@pytest.fixture(scope="module")
-def diagrams():
+def _corpus_diagrams():
     rng = random.Random(base_seed() + 6)
     out = list(chirality_corpus())
     out += [random_connected_diagram(rng, 12) for _ in range(200)]
     out += _split_closures(rng, 40)
     return out
+
+
+@pytest.fixture(scope="module")
+def diagrams():
+    return _corpus_diagrams()
 
 
 def test_corpus_covers_split_diagrams_and_loops(diagrams):
@@ -193,9 +267,12 @@ def test_faces_pieces_and_walks_match(diagrams):
         assert d.piece_of == [i for c in d.crossings
                               for i, piece in enumerate(ref_pieces(d)) if c.id in piece]
         assert ld.is_alternating(d) == ref_is_alternating(d)
+        assert d.face_of == [i for x in range(4 * len(d.crossings))
+                             for i, f in enumerate(d.face_corners) if x in f]
         for e in d.edges:
-            assert d.edge_faces[e] == [(i, p) for i, walk in enumerate(walks)
-                                       for x, p in walk if x == e]
+            # one place per end, so in end order rather than face order
+            assert sorted(ld._edge_places(d, e)) == [(i, p) for i, walk in enumerate(walks)
+                                                     for x, p in walk if x == e]
 
 
 def test_corner_memos_match(diagrams):
@@ -218,6 +295,55 @@ def test_face_sides_and_pieces_of_edge_pairs_match(diagrams):
         for a, b in itertools.permutations(d.edges, 2):
             assert ld._face_sides(d, a, b) == ref_face_sides(walks, a, b)
             assert ld._same_piece(d, a, b) == ref_same_piece(d, a, b)
+
+
+def test_corner_local_face_sides_match_the_index(diagrams):
+    checked = 0
+    for d in diagrams:
+        places = ref_edge_faces(d)
+        for a, b in itertools.permutations(d.edges, 2):
+            if ld._same_piece(d, a, b):
+                assert ld._face_sides(d, a, b) == ref_indexed_face_sides(places, a, b)
+                checked += 1
+    assert checked > 15_000
+
+
+def test_freeze_partner_is_the_edge_pairing():
+    """``freeze`` pairs corners from its walk; on every diagram the
+    corpora freeze that is the pairing of the edge ids."""
+    frozen = []
+    real = ld._Builder.freeze
+
+    def recording(self):
+        frozen.append(real(self))
+        return frozen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ld._Builder, "freeze", recording)
+        _corpus_diagrams()
+    assert len(frozen) > 400
+    for d in frozen:
+        assert d.__dict__["partner"] == ld._pair_corners(d.corner_edges)
+
+
+def _push_outcome(push, d, comps):
+    try:
+        return push(d, comps)
+    except BadBands as exc:
+        return str(exc)
+
+
+def test_transport_push_matches_the_indexed_bfs(diagrams):
+    checked = 0
+    for d in diagrams:
+        comps = range(len(d.components))
+        for k in range(2, len(comps) + 1):
+            for subset in itertools.islice(itertools.combinations(comps, k), 3):
+                subset = set(subset)
+                got = _push_outcome(tr._transport_push, d, subset)
+                assert got == _push_outcome(ref_transport_push, d, subset)
+                checked += not isinstance(got, str)
+    assert checked > 200
 
 
 def test_direct_band_matches_all_pairs_scan(diagrams):
