@@ -373,17 +373,16 @@ class _Builder:
         # every crossing is the head of its under-in edge, so cross_map
         # holds them all, inserted in order of their new ids
         crossings = []
+        base = [0] * self._next_cross  # old crossing id -> its first new corner
         for new_id, cid in enumerate(cross_map):
             (e0, _), (e1, _), (e2, _), (e3, end3) = self.cross[cid]
             edges = (edge_map[e0], edge_map[e1], edge_map[e2], edge_map[e3])
             crossings.append(Crossing(new_id, edges, 1 if end3 == _END_HEAD else -1))
+            base[cid] = 4 * new_id
         components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
         self.last_edge_map = {e: edge_map[e] for cyc in comps for e in cyc}
         diagram = LinkDiagram(tuple(crossings), components, self.loops, self.name)
         # the walk found each edge's head and tail, which pair its corners
-        base = [0] * self._next_cross
-        for new_id, cid in enumerate(cross_map):
-            base[cid] = 4 * new_id
         partner = [0] * (4 * len(crossings))
         for cyc in comps:
             for e in cyc:
@@ -494,18 +493,18 @@ def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     return [[(edges[x], out[x]) for x in f] for f in d.face_corners]
 
 
-def _corner_before(z: int) -> int:
-    """Corner 4c+s -> corner 4c+s-1 (4c+3 for s = 0)."""
-    return z - 1 if z & 3 else z + 3
+def _end_face(face_of: list[int], z: int) -> int:
+    """The face whose walk runs along corner z's edge from z: the face at
+    the corner before z (4c+s-1, or 4c+3 for s = 0)."""
+    return face_of[z - 1 if z & 3 else z + 3]
 
 
 def _edge_places(d: LinkDiagram, e: int) -> list[tuple[int, bool]]:
-    """The edge's two (face index, parity) places on the face walks: the
-    walk of the face at the corner before each end runs along the edge
-    from that end."""
+    """The edge's two (face index, parity) places on the face walks, one
+    per end."""
     x = d.corner_edges.index(e)
     face_of, out = d.face_of, d.corner_out
-    return [(face_of[_corner_before(z)], out[z]) for z in (x, d.partner[x])]
+    return [(_end_face(face_of, z), out[z]) for z in (x, d.partner[x])]
 
 
 def _face_sides(d: LinkDiagram, a: int, b: int) -> set[tuple[bool, bool]]:
@@ -624,6 +623,9 @@ def to_json_dict(d: LinkDiagram, framings: list[int] | None = None) -> dict:
     return out
 
 
+_INT_ONLY = {int}
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer: an int that is not a bool.  Floats, strings and
     true/false are malformed, never coerced."""
@@ -632,22 +634,13 @@ def json_int(value, what: str) -> int:
     raise MalformedPD(f"{what} must be an integer, got {value!r}")
 
 
-def _pd_rows(rows) -> list[tuple]:
-    """The rows of link JSON's ``pd`` as tuples of JSON integers.  Rows
-    of plain ints pass one type test; anything else is read entry by
-    entry, so the first bad entry names itself."""
-    try:
-        pd = [tuple(row) for row in rows]
-    except TypeError:
-        pd = None
-    if pd is None or not all(type(x) is int for row in pd for x in row):
-        pd = [tuple(json_int(x, "pd entry") for x in row) for row in rows]
-    return pd
-
-
 def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
     try:
-        pd = _pd_rows(data["pd"])
+        # rows of plain ints pass one type test; any other row is read
+        # entry by entry, so its first bad entry names itself
+        pd = [t if set(map(type, t)) == _INT_ONLY
+              else tuple(json_int(x, "pd entry") for x in t)
+              for t in map(tuple, data["pd"])]
         nloops = json_int(data.get("loops", 0), "loops")
         name = data.get("name")
         if name is not None and not isinstance(name, str):

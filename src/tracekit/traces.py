@@ -32,7 +32,7 @@ from .linkdiag import (
     BandSpec,
     LinkDiagram,
     _band_merge_full,
-    _corner_before,
+    _end_face,
     _face_sides,
     _same_piece,
     _thaw,
@@ -339,13 +339,12 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
     face_edges = [{e for e, _ in walk} for walk in d.face_walks]
-    # edge -> the faces on its two sides, in increasing order
+    # edge -> the faces on its two sides; the BFS reads them in any order,
+    # since one of the two is always the face being expanded
     face_of = d.face_of
     edge_faces: dict[int, list[int]] = {}
     for z, e in enumerate(d.corner_edges):
-        edge_faces.setdefault(e, []).append(face_of[_corner_before(z)])
-    for places in edge_faces.values():
-        places.sort()
+        edge_faces.setdefault(e, []).append(_end_face(face_of, z))
     dist = [None] * len(face_edges)
     via: list[int | None] = [None] * len(face_edges)
     frontier = []
