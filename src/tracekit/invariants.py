@@ -325,14 +325,12 @@ def split_pieces(d: LinkDiagram) -> list[LinkDiagram]:
 
     out = []
     for piece in d.pieces:
+        # the crossings of other pieces count as removed
         b = _thaw(d)
         b.loops = 0
-        b.cross = {cid: slots for cid, slots in b.cross.items() if cid in piece}
+        b.signs = [sign if c in piece else 0 for c, sign in enumerate(b.signs)]
         out.append(b.freeze())
-    for _ in range(d.loops):
-        b = _Builder()
-        b.loops = 1
-        out.append(b.freeze())
+    out += [_Builder(loops=1).freeze() for _ in range(d.loops)]
     return out
 
 

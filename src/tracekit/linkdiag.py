@@ -18,6 +18,7 @@ structural equality is meaningful and serialization round-trips exactly.
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,12 +55,12 @@ class Crossing:
 @dataclass(frozen=True)
 class LinkDiagram:
     """A frozen diagram.  Its derived structure (corner lists, faces,
-    face walks, pieces, linking) is computed at most once, on first use,
-    and shared by every caller, who must not mutate it.  The memo lives
-    in the instance's ``__dict__``: it is no field, so equality, hashing
-    and serialization ignore it, and it goes away with the diagram.
-    ``freeze`` fills ``partner`` from its component walk; a diagram built
-    directly computes it on first use.
+    pieces, linking) is computed at most once, on first use, and shared
+    by every caller, who must not mutate it.  The memo lives in the
+    instance's ``__dict__``: it is no field, so equality, hashing and
+    serialization ignore it, and it goes away with the diagram.
+    ``freeze`` fills ``corner_edges`` and ``partner`` from its component
+    walk; a diagram built directly computes them on first use.
 
     The memo numbers corner (c, s) as the int 4c+s, so crossing i must
     have id i."""
@@ -105,8 +106,7 @@ class LinkDiagram:
     @cached_property
     def corner_out(self) -> list[bool]:
         """Corner -> whether its edge leaves the crossing there."""
-        return [end == _END_TAIL for c in self.crossings
-                for end in _SLOT_ENDS[c.sign > 0]]
+        return [out for c in self.crossings for out in _SLOT_OUT[c.sign > 0]]
 
     @cached_property
     def face_corners(self) -> list[list[int]]:
@@ -120,10 +120,6 @@ class LinkDiagram:
             for x in f:
                 face_of[x] = i
         return face_of
-
-    @cached_property
-    def face_walks(self) -> list[list[tuple[int, bool]]]:
-        return face_edge_parities(self)
 
     @cached_property
     def pieces(self) -> list[set[int]]:
@@ -183,11 +179,10 @@ class BandSpec:
 # construction core
 # ---------------------------------------------------------------------------
 
-_END_HEAD = "h"
-_END_TAIL = "t"
-# the ends at slots 0..3 of a negative crossing, then of a positive one
-_SLOT_ENDS = ((_END_HEAD, _END_HEAD, _END_TAIL, _END_TAIL),
-              (_END_HEAD, _END_TAIL, _END_TAIL, _END_HEAD))
+# whether slots 0..3 hold their edge's tail, for a negative crossing and
+# then a positive one: the under-strand runs from slot 0 to slot 2, and
+# the over-strand enters at slot 3 exactly when the crossing is positive
+_SLOT_OUT = ((False, False, True, True), (False, True, True, False))
 
 
 def _pair_corners(edges: list[int]) -> list[int]:
@@ -207,22 +202,41 @@ def _pair_corners(edges: list[int]) -> list[int]:
     return partner
 
 
+def _reflect(edges: tuple[int, ...], sign: int):
+    """Reverse a crossing's cyclic order; its slot ends follow the other
+    sign's template, so the sign flips."""
+    e0, e1, e2, e3 = edges
+    return (e0, e3, e2, e1), -sign
+
+
+def _switch(edges: tuple[int, ...], sign: int):
+    """Swap a crossing's over- and under-strand: the over-in slot becomes
+    slot 0 and the sign flips."""
+    oi = 3 if sign > 0 else 1
+    return edges[oi:] + edges[:oi], -sign
+
+
 class _Builder:
     """Mutable, fully oriented diagram graph used by every constructor.
 
-    Crossing slots hold (edge id, end) pairs with slot 0 the under-in
-    (head) and slot 2 the under-out (tail); exactly one of slots 1/3 is a
-    head.  Freezing renumbers everything canonically and validates.
+    It has a frozen diagram's layout: ``edges[4c+s]`` is the edge id at
+    slot s of crossing c, and ``signs[c]`` the sign of crossing c, or 0
+    once ``smooth`` has removed it (``freeze`` skips its corners, but
+    ``split_edge`` would read them).  Which slots hold an edge's head and
+    tail follows from the sign (``_SLOT_OUT``), so it is never stored.
+    Edge ids are allocated from 1 up, and freezing orders components by
+    their least id, renumbers everything canonically and validates.
     """
 
     last_edge_map: dict[int, int]
 
-    def __init__(self):
-        self.cross: dict[int, list[tuple[int, str] | None]] = {}
-        self.loops = 0
-        self.name: str | None = None
-        self._next_edge = 1
-        self._next_cross = 0
+    def __init__(self, edges: list[int] | None = None, signs: list[int] | None = None,
+                 next_edge: int = 1, loops: int = 0, name: str | None = None):
+        self.edges = [] if edges is None else edges
+        self.signs = [] if signs is None else signs
+        self.loops = loops
+        self.name = name
+        self._next_edge = next_edge
 
     # -- primitives --------------------------------------------------------
 
@@ -231,30 +245,31 @@ class _Builder:
         self._next_edge += 1
         return e
 
-    def add_crossing(self, slots) -> int:
-        cid = self._next_cross
-        self._next_cross += 1
-        self.cross[cid] = list(slots)
-        return cid
+    def add_crossing(self, edges, sign: int) -> int:
+        self.edges.extend(edges)
+        self.signs.append(sign)
+        return len(self.signs) - 1
 
-    def occurrence(self, edge: int, end: str) -> Corner:
-        occ = (edge, end)
-        for cid, slots in self.cross.items():
-            if occ in slots:
-                return cid, slots.index(occ)
-        raise InternalInvariantError(f"dangling edge end {edge}{end}")
-
-    def set_slot(self, corner: Corner, value: tuple[int, str]):
-        self.cross[corner[0]][corner[1]] = value
+    def head_corner(self, edge: int) -> int:
+        """The corner where the edge flows into a crossing: whichever of
+        its corners the crossing's sign makes a head."""
+        edges, signs = self.edges, self.signs
+        try:
+            x = edges.index(edge)
+            if _SLOT_OUT[signs[x >> 2] > 0][x & 3]:
+                x = edges.index(edge, x + 1)
+        except ValueError:
+            raise InternalInvariantError(f"dangling head of edge {edge}") from None
+        return x
 
     def split_edge(self, edge: int) -> tuple[int, int]:
         """Split an edge at an interior point; returns (tail half, head
         half).  The tail half keeps the old id and its head dangles, to be
         wired into a new crossing by the caller (same for the head half's
         tail)."""
-        head = self.occurrence(edge, _END_HEAD)
+        x = self.head_corner(edge)
         e2 = self.new_edge_id()
-        self.set_slot(head, (e2, _END_HEAD))
+        self.edges[x] = e2
         return edge, e2
 
     def smooth(self, cids, kept=None):
@@ -263,6 +278,7 @@ class _Builder:
         (the other strands are being deleted whole).  A strand that closes
         up becomes a crossing-free loop.  This implements R1/R2 removals
         and sublinks."""
+        edges, signs = self.edges, self.signs
         rename: dict[int, int] = {}
 
         def find(e: int) -> int:
@@ -271,125 +287,109 @@ class _Builder:
             return e
 
         for cid in cids:
-            slots = self.cross.pop(cid)
-            over_in = 1 if slots[1][1] == _END_HEAD else 3
-            for in_slot in (0, over_in):
-                if kept is not None and slots[in_slot][0] not in kept:
+            x = 4 * cid
+            for in_slot in (0, 3 if signs[cid] > 0 else 1):
+                if kept is not None and edges[x + in_slot] not in kept:
                     continue
-                a = find(slots[in_slot][0])
-                z = find(slots[(in_slot + 2) % 4][0])
+                a = find(edges[x + in_slot])
+                z = find(edges[x + (in_slot ^ 2)])
                 if a == z:
                     self.loops += 1
                 else:
                     rename[z] = a
-        for other in self.cross.values():
-            for s, (e, end) in enumerate(other):
-                r = find(e)
-                if r != e:
-                    other[s] = (r, end)
+            signs[cid] = 0
+        if rename:
+            self.edges = [find(e) for e in edges]
 
     # -- freezing ------------------------------------------------------------
 
-    def _walk_components(self):
-        """Check every crossing's slots and walk the components: (edge
-        cycles in order of least edge, edge -> head, edge -> tail), the
-        maps as lists indexed by raw edge id."""
-        h, t = _END_HEAD, _END_TAIL
-        heads: list[Corner | None] = [None] * self._next_edge
-        tails: list[Corner | None] = [None] * self._next_edge
-        ends_seen: set[tuple[int, str]] = set()
-        for cid, slots in self.cross.items():
-            if None in slots:
-                raise InternalInvariantError(f"crossing {cid} has empty slot")
-            (e0, end0), (e1, end1), (e2, end2), (e3, end3) = slots
-            if end0 != h or end2 != t:
-                raise InternalInvariantError(f"crossing {cid} under-strand miswired")
-            if {end1, end3} != {h, t}:
-                raise InternalInvariantError(f"crossing {cid} over-strand miswired")
-            ends_seen.update(slots)
-            heads[e0] = (cid, 0)
-            tails[e2] = (cid, 2)
-            if end1 == h:
-                heads[e1] = (cid, 1)
-                tails[e3] = (cid, 3)
-            else:
-                heads[e3] = (cid, 3)
-                tails[e1] = (cid, 1)
-        if len(ends_seen) != 4 * len(self.cross):
-            for e, end in ends_seen:
-                n = sum(slots.count((e, end)) for slots in self.cross.values())
-                if n != 1:
-                    raise InconsistentEdges(f"edge {e} end {end} used {n} times")
-        seen = [False] * self._next_edge
+    def freeze(self) -> LinkDiagram:
+        edges, signs = self.edges, self.signs
+        n = self._next_edge
+        # edge -> its head and tail corner, -1 for none
+        heads = [-1] * n
+        tails = [-1] * n
+        for c, sign in enumerate(signs):
+            if sign:
+                x = 4 * c
+                heads[edges[x]] = x
+                tails[edges[x + 2]] = x + 2
+                if sign > 0:
+                    heads[edges[x + 3]] = x + 3
+                    tails[edges[x + 1]] = x + 1
+                else:
+                    heads[edges[x + 1]] = x + 1
+                    tails[edges[x + 3]] = x + 3
+        # each live crossing sets two heads and two tails; one set twice
+        # leaves fewer
+        ends = 2 * (len(signs) - signs.count(0))
+        if heads.count(-1) + ends != n or tails.count(-1) + ends != n:
+            used = Counter((edges[4 * c + s], "t" if out else "h") for c, sign in enumerate(signs)
+                           if sign for s, out in enumerate(_SLOT_OUT[sign > 0]))
+            (e, end), k = used.most_common(1)[0]
+            raise InconsistentEdges(f"edge {e} end {end} used {k} times")
+        # a strand entering at corner x leaves at x ^ 2, which the sign
+        # makes a tail, so every walk flows through; an edge missing its
+        # tail is never walked into, so its walk meets one with no head
+        seen = [False] * n
         comps = []
-        for start, head in enumerate(heads):
-            if head is None or seen[start]:
+        for start, x in enumerate(heads):
+            if x < 0 or seen[start]:
                 continue
             cyc = []
             e = start
             while not seen[e]:
-                # every edge with a head is walked, and every tail sits
-                # opposite a head, so each edge missing an end shows here
-                if heads[e] is None or tails[e] is None:
+                x = heads[e]
+                if x < 0:
                     raise InternalInvariantError("edge with missing end")
                 seen[e] = True
                 cyc.append(e)
-                cid, s = heads[e]
-                nxt = self.cross[cid][(s + 2) % 4]
-                if nxt[1] != t:
-                    raise InternalInvariantError("strand does not flow through")
-                e = nxt[0]
+                e = edges[x ^ 2]
             if e != start:
                 raise InternalInvariantError("component walk did not close")
             comps.append(cyc)
-        return comps, heads, tails
-
-    def freeze(self) -> LinkDiagram:
-        comps, heads, tails = self._walk_components()
         # canonical renumbering: edges consecutively along components,
         # crossings in order of first touch.  A two-edge component lying
         # entirely over other strands is the one case a bare PD code
         # cannot orient by the numbering convention alone; rotate its
         # numbering so that the lower edge's head sits at the lower
         # crossing id, which is what parsing assumes for the tie-break.
-        edge_map = [0] * self._next_edge
-        cross_map: dict[int, int] = {}
+        edge_map = [0] * n
+        new_id = [-1] * len(signs)
+        order: list[int] = []  # old crossing ids in order of new id
         nxt = 1
         for k, cyc in enumerate(comps):
-            if len(cyc) == 2 and all(heads[e][1] % 2 and tails[e][1] % 2 for e in cyc):
+            if len(cyc) == 2 and all(heads[e] & tails[e] & 1 for e in cyc):
                 first, second = cyc
-                c_head = heads[first][0]
-                c_tail = heads[second][0]
-                if (c_head not in cross_map and c_tail in cross_map) or (
-                        c_head in cross_map and c_tail in cross_map
-                        and cross_map[c_head] > cross_map[c_tail]):
+                c_head = new_id[heads[first] >> 2]
+                c_tail = new_id[heads[second] >> 2]
+                if c_tail >= 0 and (c_head < 0 or c_head > c_tail):
                     comps[k] = cyc = [second, first]
             for e in cyc:
                 edge_map[e] = nxt
                 nxt += 1
-                cid = heads[e][0]
-                if cid not in cross_map:
-                    cross_map[cid] = len(cross_map)
-        # every crossing is the head of its under-in edge, so cross_map
-        # holds them all, inserted in order of their new ids
-        crossings = []
-        base = [0] * self._next_cross  # old crossing id -> its first new corner
-        for new_id, cid in enumerate(cross_map):
-            (e0, _), (e1, _), (e2, _), (e3, end3) = self.cross[cid]
-            edges = (edge_map[e0], edge_map[e1], edge_map[e2], edge_map[e3])
-            crossings.append(Crossing(new_id, edges, 1 if end3 == _END_HEAD else -1))
-            base[cid] = 4 * new_id
+                c = heads[e] >> 2
+                if new_id[c] < 0:
+                    new_id[c] = len(order)
+                    order.append(c)
+        # every live crossing is the head of its under-in edge, so order
+        # holds them all
+        corner_edges = [edge_map[edges[x]] for c in order for x in range(4 * c, 4 * c + 4)]
+        crossings = tuple(Crossing(i, tuple(corner_edges[4 * i:4 * i + 4]), signs[c])
+                          for i, c in enumerate(order))
         components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
         self.last_edge_map = {e: edge_map[e] for cyc in comps for e in cyc}
-        diagram = LinkDiagram(tuple(crossings), components, self.loops, self.name)
+        diagram = LinkDiagram(crossings, components, self.loops, self.name)
         # the walk found each edge's head and tail, which pair its corners
-        partner = [0] * (4 * len(crossings))
+        partner = [0] * len(corner_edges)
         for cyc in comps:
             for e in cyc:
-                (hc, hs), (tc, ts) = heads[e], tails[e]
-                x, y = base[hc] + hs, base[tc] + ts
+                h, t = heads[e], tails[e]
+                x = 4 * new_id[h >> 2] + (h & 3)
+                y = 4 * new_id[t >> 2] + (t & 3)
                 partner[x] = y
                 partner[y] = x
+        diagram.__dict__["corner_edges"] = corner_edges
         diagram.__dict__["partner"] = partner
         _validate_planarity(diagram)
         if diagram.num_components < 1:
@@ -398,14 +398,9 @@ class _Builder:
 
 
 def _thaw(d: LinkDiagram) -> _Builder:
-    b = _Builder()
-    b.loops = d.loops
-    b.name = d.name
-    b._next_edge = max(map(max, d.components), default=0) + 1
-    b._next_cross = len(d.crossings)
-    for c in d.crossings:
-        b.cross[c.id] = list(zip(c.edges, _SLOT_ENDS[c.sign > 0]))
-    return b
+    edges = d.corner_edges.copy()
+    return _Builder(edges, [c.sign for c in d.crossings], max(edges, default=0) + 1,
+                    d.loops, d.name)
 
 
 def _pieces(d: LinkDiagram) -> list[set[int]]:
@@ -468,16 +463,17 @@ def faces(d: LinkDiagram) -> list[list[int]]:
 def _validate_planarity(d: LinkDiagram):
     if not d.crossings:
         return
+    # a connected 4-valent graph of genus g has V + 2 - 2g faces (V - E +
+    # F = 2 - 2g with E = 2V), so the total is V + 2 per piece exactly
+    # when every piece is planar; a face walk never leaves its piece
     pieces = d.pieces
-    corner_piece = [i for i in d.piece_of for _ in range(4)]
+    if len(d.face_corners) == len(d.crossings) + 2 * len(pieces):
+        return
+    piece_of = d.piece_of
     per_piece = [0] * len(pieces)
     for f in d.face_corners:
-        ids = set(map(corner_piece.__getitem__, f))
-        if len(ids) != 1:
-            raise InternalInvariantError("face walk crossed connected pieces")
-        per_piece[ids.pop()] += 1
+        per_piece[piece_of[f[0] >> 2]] += 1
     for i, piece in enumerate(pieces):
-        # V - E + F = 2 with E = 2V for a connected 4-valent planar graph
         expected = len(piece) + 2
         if per_piece[i] != expected:
             raise MalformedPD(
@@ -594,20 +590,20 @@ def assemble_pd(
     # the builder indexes edges by id, so renumber them 1..m in the same
     # order, which keeps freeze's component order and walk starts
     rank = {edges[x]: i for i, x in enumerate(firsts, 1)}
-    b = _Builder()
-    b.loops = nloops
-    b.name = name
-    b._next_edge = len(rank) + 1
-    for c in range(0, len(edges), 4):
-        slots = [(rank[edges[x]], _END_HEAD if head[x] else _END_TAIL)
-                 for x in range(c, c + 4)]
-        # only free mode leaves an under-strand flowing from slot 2
-        b.add_crossing(slots if head[c] else slots[2:] + slots[:2])
-    return b.freeze()
+    flat = [rank[e] for e in edges]
+    signs = []
+    for c in range(0, len(flat), 4):
+        if head[c]:
+            signs.append(1 if head[c + 3] else -1)
+        else:
+            # only free mode leaves an under-strand flowing from slot 2
+            flat[c:c + 4] = flat[c + 2:c + 4] + flat[c:c + 2]
+            signs.append(1 if head[c + 1] else -1)
+    return _Builder(flat, signs, len(rank) + 1, nloops, name).freeze()
 
 
 def serialize_pd(d: LinkDiagram) -> str:
-    parts = [f"X({','.join(map(str, c.edges))})" for c in sorted(d.crossings, key=lambda c: c.id)]
+    parts = [f"X({','.join(map(str, c.edges))})" for c in d.crossings]
     parts.extend(["O"] * d.loops)
     return ", ".join(parts)
 
@@ -615,7 +611,7 @@ def serialize_pd(d: LinkDiagram) -> str:
 def to_json_dict(d: LinkDiagram, framings: list[int] | None = None) -> dict:
     out = {
         "name": d.name or "",
-        "pd": [list(c.edges) for c in sorted(d.crossings, key=lambda c: c.id)],
+        "pd": [list(c.edges) for c in d.crossings],
         "loops": d.loops,
     }
     if framings is not None:
@@ -677,10 +673,10 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
     """Swap over- and under-strands everywhere: all signs negate, the
     components and orientations are untouched."""
     b = _thaw(d)
+    b.edges.clear()
+    b.signs.clear()
     for c in d.crossings:
-        # the old over-in slot becomes the new under-in slot 0
-        slots = b.cross[c.id]
-        b.cross[c.id] = slots[c.over_in_slot:] + slots[:c.over_in_slot]
+        b.add_crossing(*_switch(c.edges, c.sign))
     return b.freeze()
 
 
@@ -689,11 +685,15 @@ def reverse_component(d: LinkDiagram, index: int) -> LinkDiagram:
     if not 0 <= index < len(d.components):
         raise BadComponentIndex(f"no edge component {index}")
     comp = set(d.components[index])
-    flip = {_END_HEAD: _END_TAIL, _END_TAIL: _END_HEAD}
     b = _thaw(d)
-    for cid, slots in b.cross.items():
-        slots = [(e, flip[end] if e in comp else end) for e, end in slots]
-        b.cross[cid] = slots if slots[0][1] == _END_HEAD else slots[2:] + slots[:2]
+    for c in d.crossings:
+        # a reversed under-strand enters at slot 2, so the slots turn by
+        # two; reversing one strand but not the other flips the sign
+        under, over = c.edges[0] in comp, c.edges[1] in comp
+        if under:
+            b.edges[4 * c.id:4 * c.id + 4] = c.edges[2:] + c.edges[:2]
+        if under != over:
+            b.signs[c.id] = -c.sign
     return b.freeze()
 
 
@@ -801,11 +801,10 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
     arc_a (or to its right), with abs(framing) twist crossings that
     carry the sign of the framing."""
     b = _thaw(d)
-    a1, a2 = b.split_edge(band.arc_a)
-    g1, g2 = b.split_edge(band.arc_b)
+    a1, g1 = band.arc_a, band.arc_b
     # connector A carries a1 -> (rest of arc_b); connector B the reverse
-    b.set_slot(b.occurrence(g2, _END_HEAD), (a1, _END_HEAD))
-    b.set_slot(b.occurrence(a2, _END_HEAD), (g1, _END_HEAD))
+    xa, xg = b.head_corner(a1), b.head_corner(g1)
+    b.edges[xa], b.edges[xg] = g1, a1
     m = abs(band.framing)
     # pre-split both connectors into m+1 pieces in flow order
     apiece = [a1]
@@ -815,7 +814,6 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
         apiece.append(na)
         _, nb = b.split_edge(bpiece[-1])
         bpiece.append(nb)
-    h, t = _END_HEAD, _END_TAIL
     anti = m % 2 == 0  # coherence forces the relative direction
     for k in range(m):
         a_in, a_out = apiece[k], apiece[k + 1]
@@ -824,16 +822,14 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
         else:
             b_in, b_out = bpiece[k], bpiece[k + 1]
         if k % 2 == 0:
-            slots = [(a_in, h), (b_in, h), (a_out, t), (b_out, t)]
+            crossing = (a_in, b_in, a_out, b_out), -1
         else:
-            slots = [(b_in, h), (a_in, h), (b_out, t), (a_out, t)]
-        if left:  # reflect: reverse the cyclic order
-            slots = [slots[0], slots[3], slots[2], slots[1]]
-        if (slots[3][1] == h) != (band.framing > 0):
-            # switch: the over-strand becomes the under-strand
-            over_in = 1 if slots[1][1] == h else 3
-            slots = slots[over_in:] + slots[:over_in]
-        b.add_crossing(slots)
+            crossing = (b_in, a_in, b_out, a_out), -1
+        if left:
+            crossing = _reflect(*crossing)
+        if (crossing[1] > 0) != (band.framing > 0):
+            crossing = _switch(*crossing)
+        b.add_crossing(*crossing)
     frozen = b.freeze()
     emap = dict(b.last_edge_map)
     return frozen, (emap[apiece[0]], emap[bpiece[-1]]), emap
@@ -884,20 +880,10 @@ def _r1_insert(d: LinkDiagram, arc: Arc, chirality: int, flavor: int) -> LinkDia
             raise IllegalSite(f"no edge {arc}")
         e1, e2 = b.split_edge(arc)
         f = b.new_edge_id()
-    slots: list[tuple[int, str] | None] = [None] * 4
-    if flavor == 0:  # under-pass first: e1 -> f over to e2
-        slots[0] = (e1, _END_HEAD)
-        slots[2] = (f, _END_TAIL)
-        oi = 3 if chirality > 0 else 1
-        slots[oi] = (f, _END_HEAD)
-        slots[4 - oi] = (e2, _END_TAIL)
-    else:  # over-pass first
-        slots[0] = (f, _END_HEAD)
-        slots[2] = (e2, _END_TAIL)
-        oi = 3 if chirality > 0 else 1
-        slots[oi] = (e1, _END_HEAD)
-        slots[4 - oi] = (f, _END_TAIL)
-    b.add_crossing(slots)
+    # a positive kink, passing e1 -> f under and then over to e2 for
+    # flavor 0, over and then under for flavor 1; reflected, it is negative
+    crossing = ((e1, e2, f, f) if flavor == 0 else (f, f, e2, e1)), 1
+    b.add_crossing(*(crossing if chirality > 0 else _reflect(*crossing)))
     return b.freeze()
 
 
@@ -954,17 +940,12 @@ def _r2_build(d: LinkDiagram, over: int, under: int, anti: bool, mirrored: bool)
     me = b.new_edge_id()
     g1, g2 = b.split_edge(under)
     mg = b.new_edge_id()
-    h, t = _END_HEAD, _END_TAIL
     if anti:
-        pattern = [[(mg, h), (e1, h), (g2, t), (me, t)],
-                   [(g1, h), (e2, t), (mg, t), (me, h)]]
+        pattern = [((mg, e1, g2, me), -1), ((g1, e2, mg, me), 1)]
     else:
-        pattern = [[(g1, h), (me, t), (mg, t), (e1, h)],
-                   [(mg, h), (me, h), (g2, t), (e2, t)]]
-    for slots in pattern:
-        if mirrored:
-            slots = [slots[0], slots[3], slots[2], slots[1]]
-        b.add_crossing(slots)
+        pattern = [((g1, me, mg, e1), 1), ((mg, me, g2, e2), -1)]
+    for crossing in pattern:
+        b.add_crossing(*(_reflect(*crossing) if mirrored else crossing))
     frozen = b.freeze()
     return frozen, dict(b.last_edge_map)
 
@@ -984,9 +965,8 @@ def _r2_insert_loop(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
     mg = b.new_edge_id()
     f1 = b.new_edge_id()
     f2 = b.new_edge_id()
-    h, t = _END_HEAD, _END_TAIL
-    b.add_crossing([(g1, h), (f2, t), (mg, t), (f1, h)])
-    b.add_crossing([(mg, h), (f2, h), (g2, t), (f1, t)])
+    b.add_crossing((g1, f2, mg, f1), 1)
+    b.add_crossing((mg, f2, g2, f1), -1)
     return b.freeze()
 
 
@@ -1025,8 +1005,7 @@ def from_braid(word: list[int], strands: int | None = None, name: str | None = N
         strands = max((abs(x) for x in word), default=1) + 1
     if any(x == 0 or abs(x) >= strands for x in word):
         raise MalformedPD("braid letter out of range")
-    b = _Builder()
-    b.name = name
+    b = _Builder(name=name)
     start = [b.new_edge_id() for _ in range(strands)]
     cur = list(start)
     used = [False] * strands
@@ -1037,9 +1016,9 @@ def from_braid(word: list[int], strands: int | None = None, name: str | None = N
         f_i, f_j = b.new_edge_id(), b.new_edge_id()
         if letter > 0:
             # strand arriving from position i+1 passes over to position i
-            b.add_crossing([(e_i, _END_HEAD), (f_i, _END_TAIL), (f_j, _END_TAIL), (e_j, _END_HEAD)])
+            b.add_crossing((e_i, f_i, f_j, e_j), 1)
         else:
-            b.add_crossing([(e_j, _END_HEAD), (e_i, _END_HEAD), (f_i, _END_TAIL), (f_j, _END_TAIL)])
+            b.add_crossing((e_j, e_i, f_i, f_j), -1)
         cur[i], cur[i + 1] = f_i, f_j
     # closure: identify cur[p] with start[p]
     remap: dict[int, int] = {}
@@ -1050,11 +1029,10 @@ def from_braid(word: list[int], strands: int | None = None, name: str | None = N
         if cur[p] == start[p]:
             continue
         remap[cur[p]] = start[p]
-    for slots in b.cross.values():
-        for s, (e, end) in enumerate(slots):
-            while e in remap:
-                e = remap[e]
-            slots[s] = (e, end)
+    for x, e in enumerate(b.edges):
+        while e in remap:
+            e = remap[e]
+        b.edges[x] = e
     return b.freeze()
 
 
@@ -1104,6 +1082,18 @@ def _int_param(name: str, param) -> int:
         raise InputError(f"{name} needs an integer parameter, got {param!r}") from exc
 
 
+# the most crossings plus loops a catalog diagram may have; larger
+# parameters are refused before anything is built
+CATALOG_MAX_SIZE = 10_000
+
+
+def _check_catalog_size(label: str, size: int):
+    if size > CATALOG_MAX_SIZE:
+        raise InputError(
+            f"{label} would have {size} crossings and loops; catalog diagrams "
+            f"are limited to {CATALOG_MAX_SIZE}")
+
+
 def _twist_family(n: int) -> LinkDiagram:
     """The two-component family anchored at the parallel (2,4)-torus
     link: entry n is the 2-bridge link of fraction (6n-4)/(2n-1), with
@@ -1113,6 +1103,9 @@ def _twist_family(n: int) -> LinkDiagram:
     p, q = 6 * n - 4, 2 * n - 1
     if p < 0:
         p, q = -p, -q
+    # the standard diagram has one crossing per unit of the continued
+    # fraction, which Euclid's algorithm gives in O(log n) steps
+    _check_catalog_size(f"twist_family({n})", sum(_positive_continued_fraction(p, q)))
     d = rational_link(p, q, f"twist_family({n})")
     if d.num_components != 2:
         raise InternalInvariantError("twist family entry is not a 2-component link")
@@ -1136,6 +1129,7 @@ def catalog(name: str, param=None) -> LinkDiagram:
         n = _int_param(name, param if param is not None else 2)
         if n < 1:
             raise UnknownCatalogEntry("unlink needs n >= 1")
+        _check_catalog_size(f"unlink({n})", n)
         return parse_pd(", ".join(["O"] * n), f"unlink({n})")
     if name == "hopf":
         sign = _parse_sign(param)

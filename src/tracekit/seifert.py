@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DisconnectedDiagram, InternalInvariantError
-from .linkdiag import LinkDiagram, is_connected, r_moves
+from .linkdiag import LinkDiagram, face_edge_parities, is_connected, r_moves
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _admissible_site(d: LinkDiagram) -> tuple[int, int] | None:
     """A face carrying arcs of two distinct Seifert circles with the same
     boundary-walk parity admits a coherence-restoring R2 push."""
     circ = _circle_of_edge(seifert_circles(d))
-    for walk in d.face_walks:
+    for walk in face_edge_parities(d):
         for i, (e1, p1) in enumerate(walk):
             for e2, p2 in walk[i + 1:]:
                 if p1 == p2 and circ[e1] != circ[e2]:

@@ -31,9 +31,11 @@ from .linkdiag import (
     Arc,
     BandSpec,
     LinkDiagram,
+    _after,
     _band_merge_full,
     _end_face,
     _face_sides,
+    _reflect,
     _same_piece,
     _thaw,
     linking_matrix,
@@ -237,17 +239,14 @@ def _clasp(b, first: tuple[int, int, int], second: tuple[int, int, int],
     a_in, a_mid, a_out = first
     b_in, b_mid, b_out = second
     k = [b.new_edge_id() for _ in range(4)]
-    h, t = "h", "t"
     pattern = [
-        [(a_in, h), (k[1], t), (a_mid, t), (k[0], h)],
-        [(b_mid, h), (k[1], h), (b_out, t), (k[2], t)],
-        [(k[2], h), (b_in, h), (k[3], t), (b_mid, t)],
-        [(k[3], h), (a_out, t), (k[0], t), (a_mid, h)],
+        ((a_in, k[1], a_mid, k[0]), 1),
+        ((b_mid, k[1], b_out, k[2]), -1),
+        ((k[2], b_in, k[3], b_mid), -1),
+        ((k[3], a_out, k[0], a_mid), 1),
     ]
-    if mirrored:
-        pattern = [[s[0], s[3], s[2], s[1]] for s in pattern]
-    for slots in pattern:
-        b.add_crossing(slots)
+    for crossing in pattern:
+        b.add_crossing(*(_reflect(*crossing) if mirrored else crossing))
     return k[0]
 
 
@@ -294,18 +293,24 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     components of ``comps``, when one exists without moving any arcs."""
     ec = d.edge_component
     n_edge_comps = len(d.components)
-    best = None
-    for walk in d.face_walks:
-        for parity in (False, True):
-            # the least pair of a bucket: its least edge, and the least
-            # edge on another component
-            es = [e for e, p in walk if p == parity and ec[e] in comps]
-            if len(es) < 2:
-                continue
-            first = min(es)
-            second = min((e for e in es if ec[e] != ec[first]), default=None)
-            if second is not None and (best is None or (first, second) < best):
-                best = (first, second)
+    # corner y is the entry (its edge, corner_out[y]) of the walk of face
+    # _end_face(face_of, y): bucket the entries by face and parity, and
+    # keep each bucket's least edge, its component, and its least edge on
+    # another component
+    face_of, out = d.face_of, d.corner_out
+    none = len(d.corner_edges)  # above every edge id
+    least, least_comp, other = ([none] * (2 * len(d.face_corners)) for _ in range(3))
+    for y, e in enumerate(d.corner_edges):
+        c = ec[e]
+        if c in comps:
+            k = 2 * face_of[y - 1 if y & 3 else y + 3] + out[y]
+            if e < least[k]:
+                if c != least_comp[k]:
+                    other[k] = least[k]
+                least[k], least_comp[k] = e, c
+            elif c != least_comp[k] and e < other[k]:
+                other[k] = e
+    best = min(((e, x) for e, x in zip(least, other) if x < none), default=None)
     if best is not None:
         return BandSpec(*best)
     # bands involving crossing-free loops are always coherent
@@ -338,7 +343,9 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
     ec = d.edge_component
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
-    face_edges = [{e for e, _ in walk} for walk in d.face_walks]
+    # the walk of a face enters the edge at the slot after each corner
+    step_edges = _after(d.corner_edges)
+    face_edges = [{step_edges[x] for x in f} for f in d.face_corners]
     # edge -> the faces on its two sides; the BFS reads them in any order,
     # since one of the two is always the face being expanded
     face_of = d.face_of

@@ -267,6 +267,34 @@ def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "unlink:99999999999"],
+    ["invariants", "--catalog", "twist_family:99999999999999"],
+    ["invariants", "--catalog", "twist_family:-99999999999999"],
+    ["catalog", f"unlink:{ld.CATALOG_MAX_SIZE + 1}"],
+])
+def test_oversized_catalog_parameters_are_refused_before_building(monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard let a diagram be built")
+
+    monkeypatch.setattr(ld, "parse_pd", unreachable)
+    monkeypatch.setattr(ld, "rational_link", unreachable)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"limited to {ld.CATALOG_MAX_SIZE}" in err
+
+
+def test_catalog_size_guard_counts_what_is_built():
+    """The guard's crossing count for the twist family is the built
+    diagram's, and the largest unlink the guard admits still builds."""
+    for n in range(-12, 13):
+        p, q = abs(6 * n - 4), abs(2 * n - 1)
+        size = sum(ld._positive_continued_fraction(p, q))
+        assert len(ld.catalog("twist_family", n).crossings) == size
+    assert ld.catalog("unlink", ld.CATALOG_MAX_SIZE).loops == ld.CATALOG_MAX_SIZE
+
+
 TREFOIL_TEXT = "X(4,2,5,1), X(6,4,1,3), X(2,6,3,5)"
 
 

@@ -142,7 +142,7 @@ def ref_transport_push(d, comps):
     ec = d.edge_component
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
-    face_edges = [{e for e, _ in walk} for walk in d.face_walks]
+    face_edges = [{e for e, _ in walk} for walk in ld.face_edge_parities(d)]
     edge_faces = ref_edge_faces(d)
     dist = [None] * len(face_edges)
     via = [None] * len(face_edges)
@@ -383,11 +383,34 @@ def test_edges_used_other_than_twice_are_inconsistent(tuples):
 
 def test_freeze_rejects_a_duplicated_edge_end():
     b = ld._thaw(ld.catalog("trefoil"))
-    slots = b.cross[0]
     # slot 1 keeps its end but takes slot 0's edge, whose ends are used
-    slots[1] = (slots[0][0], slots[1][1])
+    b.edges[1] = b.edges[0]
     with pytest.raises(InconsistentEdges):
         b.freeze()
+
+
+def test_freeze_rejects_a_template_wiring_two_heads_onto_one_edge():
+    """A kink written with the wrong sign: the sign makes the over-strand's
+    outgoing edge a head, and that edge has its head already."""
+    b = ld._thaw(ld.catalog("figure8"))
+    e1, e2 = b.split_edge(1)
+    f = b.new_edge_id()
+    b.add_crossing((e1, e2, f, f), -1)
+    with pytest.raises(InconsistentEdges, match=f"edge {e2} end h used 2 times"):
+        b.freeze()
+
+
+@pytest.mark.parametrize("text, piece", [
+    ("X(1,3,2,4), X(2,4,1,3), X(14,12,15,11), X(16,14,11,13), X(12,16,13,15)", 0),
+    ("X(4,2,5,1), X(6,4,1,3), X(2,6,3,5), X(11,13,12,14), X(12,14,11,13)", 1),
+], ids=["nonplanar-first", "nonplanar-second"])
+def test_face_count_names_the_nonplanar_piece(text, piece):
+    """``freeze`` compares the total face count with V + 2 per piece; a
+    two-crossing torus piece beside a planar trefoil still fails, with
+    the per-piece message naming it."""
+    message = rf"^PD code is not planar \(piece {piece}: 2 faces, expected 4\)$"
+    with pytest.raises(MalformedPD, match=message):
+        ld.parse_pd(text)
 
 
 def test_sparse_edge_ids_parse_like_consecutive_ones():
@@ -419,30 +442,10 @@ def test_misnumbered_crossings_are_malformed():
     assert ld.LinkDiagram((c0, c1), d.components, name=d.name) == d
 
 
-def _rewire_none(slots, b):
-    slots[3] = None
-
-
-def _rewire_under(slots, b):
-    slots[0], slots[2] = slots[2], slots[0]
-
-
-def _rewire_over(slots, b):
-    slots[1] = (slots[1][0], slots[3][1])
-
-
-def _rewire_missing_end(slots, b):
-    slots[2] = (b.new_edge_id(), slots[2][1])
-
-
-@pytest.mark.parametrize("rewire, message", [
-    (_rewire_none, "empty slot"),
-    (_rewire_under, "under-strand miswired"),
-    (_rewire_over, "over-strand miswired"),
-    (_rewire_missing_end, "edge with missing end"),
-])
-def test_freeze_keeps_its_slot_and_flow_checks(rewire, message):
+def test_freeze_rejects_an_edge_with_a_missing_end():
+    """Slots hold edge ids only and the sign fixes their ends, so a slot
+    cannot be empty or hold the wrong end; an edge can still lose an end."""
     b = ld._thaw(ld.catalog("figure8"))
-    rewire(b.cross[1], b)
-    with pytest.raises(InternalInvariantError, match=message):
+    b.edges[4 * 1 + 2] = b.new_edge_id()
+    with pytest.raises(InternalInvariantError, match="edge with missing end"):
         b.freeze()

@@ -3,7 +3,8 @@
 ``assemble_pd`` orients each component with one walk over flat corners
 and ``parse_pd`` splits its text with one ``findall``.  The references
 below are the earlier implementations, kept verbatim apart from module
-prefixes, the way ``test_flat_core`` keeps the dict-based faces.  On a
+prefixes, the way ``test_flat_core`` keeps the dict-based faces; the
+assembly builds on the tuple-slot builder of ``ref_builder``.  On a
 seeded corpus the library must build the same diagram or raise the same
 exception class.  The tokenizer may differ only where the reference
 stopped reading at a separator other than space, tab, newline or comma,
@@ -19,6 +20,7 @@ from collections import Counter
 import pytest
 
 from conftest import base_seed
+from ref_builder import HEAD, TAIL, RefBuilder
 from tracekit import linkdiag as ld
 from tracekit.errors import (
     InconsistentEdges,
@@ -131,20 +133,20 @@ def ref_assemble_pd(
         heads.update(max(pool, key=lambda h: ref_ascents(h, occ, tuples, partner)))
 
     rank = {e: i for i, e in enumerate(sorted(occ), 1)}
-    b = ld._Builder()
+    b = RefBuilder()
     b.loops = nloops
     b.name = name
     b._next_edge = len(rank) + 1
     for ci, tup in enumerate(tuples):
         slots: list[tuple[int, str]] = []
         for s, e in enumerate(tup):
-            end = ld._END_HEAD if heads[e] == (ci, s) else ld._END_TAIL
+            end = HEAD if heads[e] == (ci, s) else TAIL
             slots.append((rank[e], end))
-        if slots[0][1] != ld._END_HEAD:
+        if slots[0][1] != HEAD:
             if strict_under:
                 raise OrientationConflict(f"crossing {ci}: under-strand reversed")
             slots = slots[2:] + slots[:2]
-        if slots[2][1] != ld._END_TAIL or {slots[1][1], slots[3][1]} != {"h", "t"}:
+        if slots[2][1] != TAIL or {slots[1][1], slots[3][1]} != {"h", "t"}:
             raise OrientationConflict(f"crossing {ci}: inconsistent orientation")
         b.add_crossing(slots)
     return b.freeze()
