@@ -21,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadComponentIndex,
@@ -38,8 +39,7 @@ Corner = tuple[int, int]  # (crossing id, slot); the region between slot and slo
 Arc = int | tuple[str, int]  # edge id, or ("loop", k) for crossing-free components
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing of a PD code: edge ids counterclockwise from the
     incoming under-strand, plus the sign determined by orientation."""
 
@@ -173,6 +173,12 @@ class BandSpec:
     arc_b: Arc
     framing: int = 0
     coherent: bool = True
+
+    def __post_init__(self):
+        if abs(self.framing) > CATALOG_MAX_SIZE:
+            raise InputError(
+                f"a band of {self.framing} half-twists would have {abs(self.framing)} "
+                f"twist crossings; bands are limited to {CATALOG_MAX_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +758,15 @@ def _band_merge_full(d: LinkDiagram, band: BandSpec):
     """(merged diagram, band-side arcs, old-edge -> new-edge map).  The
     band-side arcs sit across one section of the band, where a clasping
     surgery circle fits."""
+    b, arcs, _ = _band_merge_builder(d, band)
+    frozen = b.freeze()
+    emap = dict(b.last_edge_map)
+    return frozen, tuple(emap.get(arc, arc) for arc in arcs), emap
+
+
+def _band_merge_builder(d: LinkDiagram, band: BandSpec):
+    """The band merge, unfrozen: (builder, band-side arcs in its ids,
+    whether the band runs through a face to the left of arc_a)."""
     if not band.coherent:
         raise OrientationConflict("band gluing reverses orientation")
     ca = _component_of_arc(d, band.arc_a)
@@ -761,22 +776,14 @@ def _band_merge_full(d: LinkDiagram, band: BandSpec):
     loop_a = isinstance(band.arc_a, tuple)
     loop_b = isinstance(band.arc_b, tuple)
 
-    if loop_a and loop_b:
-        if band.framing:
-            raise OrientationConflict("twisted bands between bare loops are not supported")
-        b = _thaw(d)
-        b.loops -= 1
-        frozen = b.freeze()
-        return frozen, (band.arc_a, band.arc_b), dict(b.last_edge_map)
     if loop_a or loop_b:
         if band.framing:
-            raise OrientationConflict("twisted bands on bare loops are not supported")
-        edge = band.arc_b if loop_a else band.arc_a
+            between = "between" if loop_a and loop_b else "on"
+            raise OrientationConflict(f"twisted bands {between} bare loops are not supported")
         b = _thaw(d)
         b.loops -= 1
-        frozen = b.freeze()
-        emap = dict(b.last_edge_map)
-        return frozen, (emap[edge], emap[edge]), emap
+        edge = band.arc_b if loop_a else band.arc_a
+        return b, (band.arc_a, band.arc_b) if loop_a and loop_b else (edge, edge), False
 
     # A coherent band runs through a shared face along which the arcs
     # are anti-parallel (equal parities) for an even half-twist count and
@@ -793,13 +800,15 @@ def _band_merge_full(d: LinkDiagram, band: BandSpec):
     else:
         lefts = {True, False}
     positive = band.framing > 0
-    return _band_build(d, band, positive if positive in lefts else not positive)
+    left = positive if positive in lefts else not positive
+    return *_band_build(d, band, left), left
 
 
 def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
-    """Glue a band between two edges through a face to the left of
-    arc_a (or to its right), with abs(framing) twist crossings that
-    carry the sign of the framing."""
+    """Wire a band between two edges into a thawed copy of d, through a
+    face to the left of arc_a (or to its right), with abs(framing) twist
+    crossings that carry the sign of the framing.  Returns (builder,
+    band-side arcs in its ids)."""
     b = _thaw(d)
     a1, g1 = band.arc_a, band.arc_b
     # connector A carries a1 -> (rest of arc_b); connector B the reverse
@@ -830,9 +839,7 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
         if (crossing[1] > 0) != (band.framing > 0):
             crossing = _switch(*crossing)
         b.add_crossing(*crossing)
-    frozen = b.freeze()
-    emap = dict(b.last_edge_map)
-    return frozen, (emap[apiece[0]], emap[bpiece[-1]]), emap
+    return b, (apiece[0], bpiece[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1090,8 @@ def _int_param(name: str, param) -> int:
 
 
 # the most crossings plus loops a catalog diagram may have; larger
-# parameters are refused before anything is built
+# parameters are refused before anything is built.  It also bounds a
+# band's twist crossings and a weighted partition's 2g genus 1-handles.
 CATALOG_MAX_SIZE = 10_000
 
 

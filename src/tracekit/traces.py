@@ -14,11 +14,13 @@ computable necessary conditions and never claim a diffeomorphism.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadBands,
     BadComponentIndex,
     IllegalSite,
+    InputError,
     InternalInvariantError,
     InvalidBlockFraming,
     MalformedMixedDiagram,
@@ -28,13 +30,13 @@ from .errors import (
 )
 from .exactlinalg import cokernel, smith_normal_form
 from .linkdiag import (
+    CATALOG_MAX_SIZE,
     Arc,
     BandSpec,
     LinkDiagram,
     _after,
-    _band_merge_full,
+    _band_merge_builder,
     _end_face,
-    _face_sides,
     _reflect,
     _same_piece,
     _thaw,
@@ -88,6 +90,10 @@ class WeightedPartition:
             raise NotAPartition("one weight per block required")
         if any(g < 0 for g in weights):
             raise NotAPartition("genus weights must be nonnegative")
+        if 2 * sum(weights) > CATALOG_MAX_SIZE:
+            raise InputError(
+                f"genus weights summing to {sum(weights)} need {2 * sum(weights)} "
+                f"1-handles; partitions are limited to {CATALOG_MAX_SIZE}")
         seen: set[int] = set()
         for b in blocks:
             for i in b:
@@ -122,20 +128,23 @@ class HandleDecomposition:
     def chi(self) -> int:
         return sum((-1) ** i * h for i, h in enumerate(self.handles))
 
+    @cached_property
     def _w_rank(self) -> int:
-        if not self.w or not self.w[0]:
+        # zero rows, such as every genus row, add nothing to the rank
+        rows = [list(r) for r in self.w if any(r)]
+        if not rows:
             return 0
-        _, dmat, _ = smith_normal_form([list(r) for r in self.w])
+        _, dmat, _ = smith_normal_form(rows)
         return sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
 
     @property
     def b1(self) -> int:
-        return self.handles[1] - self._w_rank()
+        return self.handles[1] - self._w_rank
 
     @property
     def b2(self) -> int:
         # valid in the absence of 3-handles
-        return self.handles[2] - self._w_rank()
+        return self.handles[2] - self._w_rank
 
 
 @dataclass(frozen=True)
@@ -250,28 +259,15 @@ def _clasp(b, first: tuple[int, int, int], second: tuple[int, int, int],
     return k[0]
 
 
-def _clasp_insert(d: LinkDiagram, conn_a: int, conn_b: int):
-    """Insert a 0-framed surgery circle clasping the band whose two side
-    arcs are conn_a and conn_b.  Returns (diagram, circle edge id, old
-    edge -> new edge map).  The clasp fits a shared face that lies to
-    the right of both arcs, and its mirror image one to the left of both."""
-    sides = _face_sides(d, conn_a, conn_b)
-    if (True, True) in sides:
-        mirrored = False
-    elif (False, False) in sides:
-        mirrored = True
-    else:
-        raise InternalInvariantError(
-            f"no clasp placement fits the band at edges {conn_a} and {conn_b}")
-    b = _thaw(d)
+def _clasp_across(b, conn_a: int, conn_b: int, mirrored: bool) -> tuple[int, int]:
+    """Split two edges of a builder twice each and clasp their middle
+    pieces with ``_clasp``.  Returns (circle edge id, the first edge id
+    the clasp allocated)."""
     a1, rest = b.split_edge(conn_a)
     a2, a3 = b.split_edge(rest)
     b1, restb = b.split_edge(conn_b)
     b2, b3 = b.split_edge(restb)
-    circle = _clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored)
-    frozen = b.freeze()
-    emap = dict(b.last_edge_map)
-    return frozen, emap[circle], emap
+    return _clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored), rest
 
 
 def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
@@ -394,16 +390,26 @@ def _transport_push(d: LinkDiagram, comps: set[int]):
 
 
 def _knotify_step(d: LinkDiagram, band: BandSpec):
-    """One band merge plus clasping circle.  Returns (diagram, circle
-    edge id, merged-component representative edge, old-edge map, loops
-    consumed)."""
+    """One band merge plus clasping circle, built in one builder and
+    frozen once.  Returns (diagram, circle edge id, merged-component
+    representative edge, old-edge map, loops consumed); the map covers
+    the edges that existed before the clasp."""
     loop_a = isinstance(band.arc_a, tuple)
     loop_b = isinstance(band.arc_b, tuple)
     if not (loop_a or loop_b):
-        merged, (conn_a, conn_b), emap0 = _band_merge_full(d, band)
-        merged2, circle_edge, emap1 = _clasp_insert(merged, conn_a, conn_b)
-        emap = {e: emap1[v] for e, v in emap0.items() if v in emap1}
-        return merged2, circle_edge, emap1[conn_a], emap, 0
+        b, (conn_a, conn_b), left = _band_merge_builder(d, band)
+        # The clasp sits in the band's strip face, which lies opposite the
+        # face the band crossed.  For arcs in one piece that is the only
+        # face the connectors share (a 4-valent graph has no bridge);
+        # across pieces both drawings fit, and the unmirrored one is taken.
+        mirrored = _same_piece(d, band.arc_a, band.arc_b) and not left
+        circle, fresh = _clasp_across(b, conn_a, conn_b, mirrored)
+        # the merged diagram is this one with the clasp's four crossings
+        # smoothed away, so it is planar whenever this one is, and only
+        # this freeze checks planarity
+        final = b.freeze()
+        emap = {e: v for e, v in b.last_edge_map.items() if e < fresh}
+        return final, b.last_edge_map[circle], emap[conn_a], emap, 0
     if loop_a and loop_b and band.arc_a[1] == band.arc_b[1]:
         raise SameComponent("band endpoints on one loop")
     # a band from a bare loop: the loop's strand (a2, c1, b2) detours
@@ -582,10 +588,10 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
     genus_rows = []
     base = 0
     for bi, g in enumerate(part.weights):
-        word = _commutator_word(g, base)
-        for local in range(2 * g):
-            gen = base + local + 1
-            exponent = sum(1 if x == gen else -1 if x == -gen else 0 for x in word)
+        exponents = [0] * (2 * g)
+        for x in _commutator_word(g, base):
+            exponents[abs(x) - base - 1] += 1 if x > 0 else -1
+        for exponent in exponents:
             row = [0] * part.block_count
             row[bi] = exponent
             genus_rows.append(row)

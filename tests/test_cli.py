@@ -9,6 +9,7 @@ import pytest
 
 from tracekit import cli
 from tracekit import linkdiag as ld
+from tracekit import traces
 from tracekit.errors import InputError, InternalInvariantError
 
 
@@ -283,6 +284,35 @@ def test_oversized_catalog_parameters_are_refused_before_building(monkeypatch, c
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"limited to {ld.CATALOG_MAX_SIZE}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--catalog", "hopf:+", "--framings=-1,-1", "--partition", "1,2:g=1000000000000"],
+    ["trace", "--catalog", "hopf:+", "--framings=-1,-1",
+     "--partition", f"1:g={ld.CATALOG_MAX_SIZE // 2}|2:g=1"],
+    ["knotify", "--catalog", "hopf:+", "--bands", "[[1, 4, 1000000000000]]"],
+    ["knotify", "--catalog", "hopf:+", "--bands", f"[[1, 4, {-ld.CATALOG_MAX_SIZE - 1}]]"],
+])
+def test_oversized_genus_and_twists_are_refused_before_building(monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard let a band or genus handle be built")
+
+    monkeypatch.setattr(ld, "_band_build", unreachable)
+    monkeypatch.setattr(traces, "knotify", unreachable)
+    monkeypatch.setattr(traces, "high_order_trace", unreachable)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"limited to {ld.CATALOG_MAX_SIZE}" in err
+
+
+def test_largest_admitted_genus_still_traces(capsys):
+    g = ld.CATALOG_MAX_SIZE // 2
+    code = cli.main(["trace", "--catalog", "hopf:+", "--framings=-1,-1",
+                     "--partition", f"1,2:g={g}"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["handles"] == [1, 2 * g + 1, 1, 0, 0]
 
 
 def test_catalog_size_guard_counts_what_is_built():

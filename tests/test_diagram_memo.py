@@ -16,6 +16,8 @@ import sys
 import pytest
 
 from test_face_chirality import _corpus, _edge_pairs
+from test_golden_reports import GOLDEN_SEED, run_item
+from test_golden_reports import corpus as bench_corpus
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.invariants import obstruction_report
@@ -71,7 +73,7 @@ def test_faces_and_pieces_run_at_most_once_per_freeze(monkeypatch, corpus):
 
 def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
     guarded = {ld._band_merge_full.__code__, ld._r2_insert_mapped.__code__,
-               tr._clasp_insert.__code__, ld._Builder.freeze.__code__}
+               tr._knotify_step.__code__, ld._Builder.freeze.__code__}
     calls = {"face_edge_parities": 0, "_pair_corners": 0}
 
     def outside_guarded(name, fn):
@@ -95,6 +97,19 @@ def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
     # the face-walk wrapper sees the calls of the one reader left
     seifert.braid_form(ld.catalog("figure8"))
     assert calls["face_edge_parities"] > 0, calls
+
+
+def test_seed1_surgery_pass_freezes_once_per_band_and_clasp_step(monkeypatch, tmp_path):
+    """A seed-1 pass over the benchmark's surgery corpus makes 251
+    freezes.  Building each band merge and its clasp in one builder took
+    122 freezes off the 373 of two builds per step."""
+    items = bench_corpus.build("surgery", GOLDEN_SEED)
+    calls = {"freeze": 0}
+    monkeypatch.setattr(ld._Builder, "freeze",
+                        _counting(calls, "freeze", ld._Builder.freeze))
+    for k, item in enumerate(items):
+        assert run_item(item, tmp_path / f"item{k}")[0] == 0
+    assert calls["freeze"] == 251
 
 
 def test_memo_is_never_mutated(corpus):

@@ -2,7 +2,8 @@
 
 R2 pushes, twisted band chains and clasping surgery circles each come in
 two mirror-image drawings, and only one of them is planar at a given
-site.  The library picks it from the walk parities of the shared face.
+site.  The library picks it from the walk parities of the shared face;
+a clasp follows the side of the face its band was drawn through.
 The references below pick it by trial: build each drawing in a fixed
 order and keep the first that passes the planarity check.  The library
 must agree with them byte for byte, and it must never build a
@@ -53,10 +54,13 @@ def band_merge_by_trial(d, band):
     sign was planar); the arcs are the old (a side, primary, alternative)."""
     first = band.framing > 0
     for left in (first, not first):
+        b, conns = ld._band_build(d, band, left)
         try:
-            merged, (conn_a, last), emap = ld._band_build(d, band, left)
+            merged = b.freeze()
         except MalformedPD:
             continue
+        emap = dict(b.last_edge_map)
+        conn_a, last = (emap[e] for e in conns)
         start = emap[band.arc_b]  # the b side's first piece keeps arc_b's id
         if band.framing % 2 == 0:
             arcs = (conn_a, last, start)
@@ -148,10 +152,10 @@ def test_r2_template_matches_trial_order(corpus):
 
 
 def test_band_and_clasp_match_trial_order(corpus):
-    checked = 0
+    checked = cross_piece = 0
     for d, pairs in corpus:
         for a, b in _band_sites(d, pairs):
-            for framing in (0, 1, -2):
+            for framing in (0, 1, -1, 2, -2, 3):
                 band = ld.BandSpec(a, b, framing)
                 try:
                     got = ld._band_merge_full(d, band)
@@ -164,17 +168,73 @@ def test_band_and_clasp_match_trial_order(corpus):
                 assert got[1][0] == arcs[0] and got[1][1] in arcs[1:]
                 assert tr._knotify_step(d, band) == knotify_step_by_trial(merged, arcs, emap)
                 checked += 1
-    assert checked > 300
+                cross_piece += not ld._same_piece(d, a, b)
+    assert checked > 1500
+    assert cross_piece > 500
 
 
 def test_clasp_on_every_equal_parity_pair_matches_trial_order(corpus):
+    """The clasp wiring ``_knotify_step`` uses, on every pair of edges
+    sharing a face on the same side of both: drawn for a face right of
+    both (else left of both), it is the drawing the trial keeps."""
     checked = 0
     for d, _ in corpus:
         for a, b in itertools.combinations(d.edges, 2):
-            if {(True, True), (False, False)} & ld._face_sides(d, a, b):
-                assert tr._clasp_insert(d, a, b) == clasp_insert_by_trial(d, a, b)
+            sides = ld._face_sides(d, a, b)
+            if {(True, True), (False, False)} & sides:
+                builder = ld._thaw(d)
+                circle, _ = tr._clasp_across(builder, a, b, (True, True) not in sides)
+                got = builder.freeze()
+                emap = builder.last_edge_map
+                assert (got, emap[circle], emap) == clasp_insert_by_trial(d, a, b)
                 checked += 1
     assert checked > 200
+
+
+def _steps(corpus):
+    """(diagram, band) for every coherent non-loop band site of the
+    corpus, over a spread of framings."""
+    for d, pairs in corpus:
+        for a, b in _band_sites(d, pairs):
+            for framing in (0, 1, -2, 3):
+                band = ld.BandSpec(a, b, framing)
+                try:
+                    ld._band_merge_builder(d, band)
+                except OrientationConflict:
+                    continue
+                yield d, band
+
+
+def test_each_band_and_clasp_step_freezes_once(monkeypatch, corpus):
+    freezes = []
+    real = ld._Builder.freeze
+
+    def counting(self):
+        freezes.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ld._Builder, "freeze", counting)
+    steps = 0
+    for d, band in _steps(corpus):
+        del freezes[:]
+        tr._knotify_step(d, band)
+        assert len(freezes) == 1
+        steps += 1
+    assert steps > 1200
+
+
+def test_smoothing_the_clasp_gives_the_band_merge(corpus):
+    steps = 0
+    for d, band in _steps(corpus):
+        final, circle, _, _, _ = tr._knotify_step(d, band)
+        ring = set(final.components[final.edge_component[circle]])
+        clasp = [c.id for c in final.crossings if ring & set(c.edges)]
+        assert len(clasp) == 4
+        b = ld._thaw(final)
+        b.smooth(clasp, kept=set(final.edges) - ring)
+        assert b.freeze() == ld._band_merge_full(d, band)[0]
+        steps += 1
+    assert steps > 1200
 
 
 # -- no drawing is built twice --------------------------------------------------------

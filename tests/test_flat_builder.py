@@ -73,7 +73,7 @@ def test_surgery_freezes_match(checked):
             for left, framing in itertools.product((False, True), (-1, 0, 2)):
                 if ec[a] != ec[b]:
                     try:
-                        ld._band_build(d, ld.BandSpec(a, b, framing), left)
+                        ld._band_build(d, ld.BandSpec(a, b, framing), left)[0].freeze()
                     except MalformedPD:
                         pass
             for anti, mirrored in itertools.product((False, True), repeat=2):

@@ -48,14 +48,19 @@ def test_reports_match_golden_digests(workload, tmp_path):
     assert {item.id for item in items} == set(golden["items"])
     mismatched = []
     for k, item in enumerate(items):
-        path = None
-        if item.text is not None:
-            path = tmp_path / f"item{k}"
-            path.write_text(item.text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(item.command(str(path) if path else None))
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        code, out, err = run_item(item, tmp_path / f"item{k}")
+        digest = hashlib.sha256(out.encode()).hexdigest()
         if code != 0 or digest != golden["items"][item.id]:
-            mismatched.append((item.id, code, err.getvalue().strip()))
+            mismatched.append((item.id, code, err.strip()))
     assert not mismatched
+
+
+def run_item(item, path):
+    """(exit code, stdout, stderr) of one corpus item run through
+    ``cli.main``, its input file written to ``path`` when it has one."""
+    if item.text is not None:
+        path.write_text(item.text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(item.command(str(path) if item.text is not None else None))
+    return code, out.getvalue(), err.getvalue()

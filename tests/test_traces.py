@@ -338,6 +338,50 @@ def test_high_order_chi_formula_partitions():
             assert h.chi == expected
 
 
+def _quadratic_genus_rows(weights, block_count):
+    """The genus rows as first computed: each generator's exponent summed
+    over the whole commutator word."""
+    rows, base = [], 0
+    for bi, g in enumerate(weights):
+        word = tr._commutator_word(g, base)
+        for local in range(2 * g):
+            gen = base + local + 1
+            row = [0] * block_count
+            row[bi] = sum(1 if x == gen else -1 if x == -gen else 0 for x in word)
+            rows.append(tuple(row))
+        base += 2 * g
+    return rows
+
+
+def _full_snf_rank(w):
+    """W's rank from one Smith normal form of the whole matrix."""
+    if not w or not w[0]:
+        return 0
+    _, dmat, _ = tr.smith_normal_form([list(r) for r in w])
+    return sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
+
+
+def test_genus_rows_and_betti_numbers_match_the_quadratic_formula():
+    link = framed("borromean", None, [0, 0, 0])
+    for weights in itertools.product(range(7), repeat=2):
+        part = tr.WeightedPartition.of([(0, 1), (2,)], weights, 3)
+        h = tr.high_order_trace(link, part)
+        genus = 2 * sum(weights)
+        assert list(h.w[len(h.w) - genus:]) == _quadratic_genus_rows(weights, 2)
+        assert h.b1 == h.handles[1] - _full_snf_rank(h.w)
+        assert h.b2 == h.handles[2] - _full_snf_rank(h.w)
+
+
+def test_w_rank_skips_zero_rows(rng):
+    for _ in range(40):
+        rows = [tuple(rng.choice([0, 0, 1, -1, 2]) for _ in range(3))
+                for _ in range(rng.randrange(1, 6))]
+        rows += [(0, 0, 0)] * rng.randrange(3)
+        rng.shuffle(rows)
+        h = tr.HandleDecomposition((1, 8, 3, 0, 0), ((0,) * 3,) * 3, tuple(rows), "test")
+        assert (h.b1, h.b2) == (8 - _full_snf_rank(rows), 3 - _full_snf_rank(rows))
+
+
 # -- surface partitions ----------------------------------------------------------------
 
 def test_surface_partition_disks():
