@@ -106,22 +106,21 @@ def _parse_bands(text: str) -> list[BandSpec]:
     except json.JSONDecodeError as exc:
         raise InputError(f"bad bands JSON: {exc}") from exc
 
-    def arc(x):
+    def arc(x, row):
         if isinstance(x, list):
-            return (str(x[0]), json_int(x[1], "band loop index"))
+            if len(x) != 2 or x[0] != "loop":
+                raise InputError(f"bad band {row!r}: a loop arc is [\"loop\", k]")
+            return ("loop", json_int(x[1], "band loop index"))
         return json_int(x, "band arc")
 
     if not isinstance(rows, list):
         raise InputError("bands must be a JSON list")
     out = []
     for row in rows:
-        if not isinstance(row, list) or len(row) < 2:
-            raise InputError(f"bad band {row!r}")
-        try:
-            framing = json_int(row[2], "band twist count") if len(row) > 2 else 0
-            out.append(BandSpec(arc(row[0]), arc(row[1]), framing))
-        except (IndexError, TypeError) as exc:
-            raise InputError(f"bad band {row!r}") from exc
+        if not isinstance(row, list) or len(row) not in (2, 3):
+            raise InputError(f"bad band {row!r}: want [arc, arc] or [arc, arc, twists]")
+        framing = json_int(row[2], "band twist count") if len(row) > 2 else 0
+        out.append(BandSpec(arc(row[0], row), arc(row[1], row), framing))
     return out
 
 

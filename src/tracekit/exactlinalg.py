@@ -2,8 +2,9 @@
 
 Everything here works over arbitrary-precision Python ints; no floating
 point is used anywhere.  ``congruence_eliminate`` also takes ``Fraction``
-entries, which it scales to integers first.  Matrices are lists of
-lists, row major, and inputs are never mutated.
+entries, which it scales to integers first; only that rational branch
+imports ``fractions``, so integer callers never load it.  Matrices are
+lists of lists, row major, and inputs are never mutated.
 
 ``congruence_eliminate`` is the symmetric-form kernel: sparse
 minimum-degree congruence elimination, fraction-free in the manner of
@@ -14,10 +15,13 @@ kept as the independent determinant.
 """
 
 import heapq
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
@@ -186,7 +190,7 @@ def cokernel(m: IntMatrix, ambient_rank: int | None = None) -> tuple[int, tuple[
     return free, torsion
 
 
-def congruence_eliminate(m) -> tuple[int, int, int | Fraction]:
+def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":
     """Diagonalize a symmetric matrix by exact congruence, with sparse
     rows and minimum-degree pivoting; returns (pos, neg, det).
 
@@ -305,6 +309,8 @@ def congruence_eliminate(m) -> tuple[int, int, int | Fraction]:
         eliminate(i)
     if scale == 1:
         return pos, neg, d
+    from fractions import Fraction  # loaded already: the input holds Fractions
+
     det = Fraction(d, scale ** len(m))
     return pos, neg, det.numerator if det.denominator == 1 else det
 

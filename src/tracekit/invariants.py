@@ -17,7 +17,7 @@ behind the planar-surface obstruction reports.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedDiagram,
@@ -52,8 +52,7 @@ def determinant(d: LinkDiagram) -> int:
 # Goeritz / Gordon-Litherland engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoeritzData:
+class GoeritzData(NamedTuple):
     """Goeritz matrix of one checkerboard shading plus the correction
     term from crossings whose type matches the shading."""
 
@@ -214,8 +213,7 @@ NO_OBSTRUCTION = "NoObstruction"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     claim: str
     rule: str
     anchor: str
@@ -224,8 +222,7 @@ class Verdict:
         return {"claim": self.claim, "rule": self.rule, "anchor": self.anchor}
 
 
-@dataclass(frozen=True)
-class PlanarVerdict:
+class PlanarVerdict(NamedTuple):
     status: str
     chain: tuple[Verdict, ...] = ()
 
@@ -289,8 +286,7 @@ def _planar_verdict(d: LinkDiagram, tau: int | None) -> PlanarVerdict:
     ))
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     name: str
     components: int
     sigma: int

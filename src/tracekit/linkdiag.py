@@ -18,8 +18,7 @@ structural equality is meaningful and serialization round-trips exactly.
 
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,23 +51,31 @@ class Crossing(NamedTuple):
         return 3 if self.sign > 0 else 1
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    """A frozen diagram.  Its derived structure (corner lists, faces,
-    pieces, linking) is computed at most once, on first use, and shared
-    by every caller, who must not mutate it.  The memo lives in the
-    instance's ``__dict__``: it is no field, so equality, hashing and
-    serialization ignore it, and it goes away with the diagram.
-    ``freeze`` fills ``corner_edges`` and ``partner`` from its component
-    walk; a diagram built directly computes them on first use.
+class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
+    """A frozen diagram: a named tuple of its crossings, its components
+    (edge ids in walk order), its crossing-free loop count and its name.
+    Its derived structure (corner lists, faces, pieces, linking) is
+    computed at most once, on first use, and shared by every caller, who
+    must not mutate it.  The memo lives in the instance's ``__dict__``:
+    it is no field, so equality, hashing and serialization, which read
+    the tuple, ignore it, and it goes away with the diagram.  ``freeze``
+    fills ``corner_edges`` and ``partner`` from its component walk; a
+    diagram built directly computes them on first use.
 
     The memo numbers corner (c, s) as the int 4c+s, so crossing i must
     have id i."""
 
-    crossings: tuple[Crossing, ...]
-    components: tuple[tuple[int, ...], ...]
-    loops: int = 0
-    name: str | None = None
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, crossings: tuple[Crossing, ...], components: tuple[tuple[int, ...], ...],
+                loops: int = 0, name: str | None = None):
+        if loops < 0:
+            raise MalformedPD(f"loops must be non-negative, got {loops}")
+        # the flat memos index corners as 4 * id + slot
+        for i, c in enumerate(crossings):
+            if c.id != i:
+                raise MalformedPD(f"crossing at position {i} has id {c.id}")
+        return super().__new__(cls, crossings, components, loops, name)
 
     @property
     def num_components(self) -> int:
@@ -80,14 +87,6 @@ class LinkDiagram:
 
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings)
-
-    def __post_init__(self):
-        if self.loops < 0:
-            raise MalformedPD(f"loops must be non-negative, got {self.loops}")
-        # the flat memos index corners as 4 * id + slot
-        for i, c in enumerate(self.crossings):
-            if c.id != i:
-                raise MalformedPD(f"crossing at position {i} has id {c.id}")
 
     @cached_property
     def edge_component(self) -> dict[int, int]:
@@ -158,27 +157,29 @@ class LinkDiagram:
         return x >> 2, x & 3
 
 
-@dataclass(frozen=True)
-class BandSpec:
+class BandSpec(namedtuple("BandSpec", "arc_a arc_b framing coherent")):
     """An oriented band between two arcs on distinct components.
 
     Arcs are edge ids, or ("loop", k) to address the k-th crossing-free
     loop.  ``framing`` counts half-twists of the band (each adds one
-    crossing between the band's sides, of the framing's sign);
-    ``coherent`` asserts the gluing matches the strand orientations and
-    must be True for a merge.
+    crossing between the band's sides, of the framing's sign); a band
+    at a loop takes none.  ``coherent`` asserts the gluing matches the
+    strand orientations and must be True for a merge.
     """
 
-    arc_a: Arc
-    arc_b: Arc
-    framing: int = 0
-    coherent: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if abs(self.framing) > CATALOG_MAX_SIZE:
+    def __new__(cls, arc_a: Arc, arc_b: Arc, framing: int = 0, coherent: bool = True):
+        if abs(framing) > CATALOG_MAX_SIZE:
             raise InputError(
-                f"a band of {self.framing} half-twists would have {abs(self.framing)} "
+                f"a band of {framing} half-twists would have {abs(framing)} "
                 f"twist crossings; bands are limited to {CATALOG_MAX_SIZE}")
+        loop_a, loop_b = isinstance(arc_a, tuple), isinstance(arc_b, tuple)
+        if framing and (loop_a or loop_b):
+            between = "between" if loop_a and loop_b else "on"
+            raise OrientationConflict(f"twisted bands {between} bare loops are not supported")
+        return super().__new__(cls, arc_a, arc_b, framing, coherent)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +778,6 @@ def _band_merge_builder(d: LinkDiagram, band: BandSpec):
     loop_b = isinstance(band.arc_b, tuple)
 
     if loop_a or loop_b:
-        if band.framing:
-            between = "between" if loop_a and loop_b else "on"
-            raise OrientationConflict(f"twisted bands {between} bare loops are not supported")
         b = _thaw(d)
         b.loops -= 1
         edge = band.arc_b if loop_a else band.arc_a

@@ -13,15 +13,13 @@ pair through their shared band, and loops over adjacent generators pair
 exactly when their band positions interleave.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DisconnectedDiagram, InternalInvariantError
 from .linkdiag import LinkDiagram, face_edge_parities, is_connected, r_moves
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(NamedTuple):
     """Surface data produced by the oriented smoothing of a (possibly
     braid-normalized) presentation of the link."""
 
@@ -150,7 +148,10 @@ def braid_word(d: LinkDiagram) -> tuple[list[int], int]:
     circle_walk = [[d.head_of(e)[0] for e in cyc] for cyc in circles]
 
     # assign angular sort keys: integer positions along the innermost
-    # circle, then interpolate outward through shared crossings
+    # circle, then interpolate outward through shared crossings; fractions
+    # is imported here so that importing the CLI does not load it
+    from fractions import Fraction
+
     key: dict[int, Fraction] = {}
     inner = order[0]
     for pos, cid in enumerate(circle_walk[inner]):

@@ -13,8 +13,9 @@ computable necessary conditions and never claim a diffeomorphism.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadBands,
@@ -55,26 +56,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(namedtuple("FramedLink", "diagram framings")):
     """A link diagram with one integer framing per component."""
 
-    diagram: LinkDiagram
-    framings: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if len(self.framings) != self.diagram.num_components:
+    def __new__(cls, diagram: LinkDiagram, framings: tuple[int, ...]):
+        if len(framings) != diagram.num_components:
             raise BadComponentIndex(
-                f"{len(self.framings)} framings for "
-                f"{self.diagram.num_components} components")
+                f"{len(framings)} framings for {diagram.num_components} components")
+        return super().__new__(cls, diagram, framings)
 
     @property
     def components(self) -> int:
         return self.diagram.num_components
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(NamedTuple):
     """Blocks of component indices, each carrying a genus weight >= 0.
     Blocks are kept sorted by least member, so equal partitions compare
     equal regardless of input order."""
@@ -113,11 +112,11 @@ class WeightedPartition:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class HandleDecomposition:
+class HandleDecomposition(namedtuple("HandleDecomposition", "handles q w provenance")):
     """Handle counts plus the attaching combinatorics that the toolkit
     actually computes with: Q (framing/linking of 2-handles) and W
-    (algebraic winding of 2-handle circles over 1-handles)."""
+    (algebraic winding of 2-handle circles over 1-handles).  The rank of
+    W is memoized in the instance's ``__dict__``, outside the fields."""
 
     handles: tuple[int, int, int, int, int]
     q: tuple[tuple[int, ...], ...]
@@ -147,24 +146,22 @@ class HandleDecomposition:
         return self.handles[2] - self._w_rank
 
 
-@dataclass(frozen=True)
-class MixedLink:
+class MixedLink(namedtuple("MixedLink", "diagram dotted framings")):
     """A diagram in a surgered 3-manifold: ``dotted`` components are
     0-framed surgery circles spanning the 1-handles; the remaining
     components carry the listed framings, in component order."""
 
-    diagram: LinkDiagram
-    dotted: tuple[int, ...]
-    framings: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        n = self.diagram.num_components
-        if any(not 0 <= i < n for i in self.dotted) or len(set(self.dotted)) != len(self.dotted):
-            raise MalformedMixedDiagram(f"bad dotted set {self.dotted}")
-        if len(self.framings) != n - len(self.dotted):
+    def __new__(cls, diagram: LinkDiagram, dotted: tuple[int, ...], framings: tuple[int, ...]):
+        n = diagram.num_components
+        if any(not 0 <= i < n for i in dotted) or len(set(dotted)) != len(dotted):
+            raise MalformedMixedDiagram(f"bad dotted set {dotted}")
+        if len(framings) != n - len(dotted):
             raise MalformedMixedDiagram(
-                f"{len(self.framings)} framings for {n - len(self.dotted)} "
-                "attaching circles")
+                f"{len(framings)} framings for {n - len(dotted)} attaching circles")
+        return super().__new__(cls, diagram, dotted, framings)
 
     @property
     def attaching(self) -> tuple[int, ...]:
@@ -178,8 +175,7 @@ class MixedLink:
                 for dj in self.dotted]
 
 
-@dataclass(frozen=True)
-class KnotifiedLink:
+class KnotifiedLink(NamedTuple):
     """Result of knotification: one knot plus surgery circles, with the
     audited framing and winding data."""
 
@@ -638,8 +634,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
+class TraceVerdict(NamedTuple):
     status: str
     checks: tuple[str, ...]
     data: tuple[tuple[str, object], ...] = ()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit import traces
 from tracekit.errors import InputError, InternalInvariantError
+from tracekit.exactlinalg import congruence_eliminate
 
 
 def run(capsys, *argv):
@@ -238,12 +240,27 @@ def test_knotify_explicit_bands_flag(capsys):
     assert data["winding"] == [0, 0]
 
 
+def test_twisted_band_on_a_loop_exits_2(tmp_path, capsys):
+    link = tmp_path / "trefoil_and_loop.pd"
+    link.write_text("X(4,2,5,1), X(6,4,1,3), X(2,6,3,5), O")
+    code = cli.main(["knotify", str(link), "--bands", '[[["loop",0],1,3]]'])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "twisted bands on bare loops are not supported" in err
+    assert cli.main(["knotify", str(link), "--bands", '[[["loop",0],1]]']) == 0
+
+
 HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
+TREFOIL_AND_LOOP = {"pd": [[4, 2, 5, 1], [6, 4, 1, 3], [2, 6, 3, 5]], "loops": 1}
 
 
 @pytest.mark.parametrize("argv, files, code", [
     (["invariants", "--catalog", "twist_family:abc"], {}, 2),
     (["knotify", "--catalog", "hopf:+", "--bands", '[[["loop","x"],1]]'], {}, 2),
+    (["knotify", "--catalog", "hopf:+", "--bands", "[[1,2,0,99]]"], {}, 2),
+    (["knotify", "{link}", "--bands", '[[["loop",0,5],1]]'], {"link": TREFOIL_AND_LOOP}, 2),
+    (["knotify", "--catalog", "hopf:+", "--bands", '[[["knot",0],1]]'], {}, 2),
+    (["knotify", "--catalog", "hopf:+", "--bands", "[[[5,0],1]]"], {}, 2),
     (["check-schoenflies"], {}, 2),
     (["trace", "{link}"], {"link": {**HOPF_JSON, "framings": ["a", 0]}}, 2),
     (["batch", "{manifest}"], {"manifest": [{"catalog": "hopf:+"}, 5]}, 0),
@@ -251,7 +268,8 @@ HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
     (["invariants", "--catalog", "figure8:x"], {}, 2),
     (["invariants", "--catalog", "unknot:7"], {}, 2),
     (["invariants", "--catalog", "hopf:"], {}, 2),
-], ids=["catalog-param", "band-arc", "schoenflies-no-input", "json-framings",
+], ids=["catalog-param", "band-arc", "band-row-too-long", "band-loop-arc-too-long",
+        "band-loop-arc-kind", "band-loop-arc-int", "schoenflies-no-input", "json-framings",
         "manifest-entry", "catalog-empty-name", "catalog-param-not-taken",
         "catalog-unknot-param", "catalog-empty-param"])
 def test_malformed_input_never_crashes(tmp_path, capsys, argv, files, code):
@@ -556,6 +574,29 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+IMPORT_FOOTPRINT = (
+    "import sys\n"
+    "before = set(sys.modules)\n"  # what the interpreter's site already loaded
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import tracekit.cli\n"
+    "tracekit.cli.build_parser()\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def test_cli_start_loads_no_dataclasses_or_fractions():
+    # every command process pays for these imports before its own work
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_FOOTPRINT, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "tracekit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    # the rational branch still imports what it builds
+    _, _, det = congruence_eliminate([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert type(det) is Fraction and det == Fraction(1, 6)
 
 
 MIXED_SEQUENCE = [

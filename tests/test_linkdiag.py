@@ -170,6 +170,19 @@ def test_band_merge_unlink_loops():
     assert not m.crossings
 
 
+@pytest.mark.parametrize("arcs, where", [
+    ((("loop", 0), 1), "on"), ((1, ("loop", 0)), "on"),
+    ((("loop", 0), ("loop", 1)), "between"),
+])
+def test_twisted_bands_at_loops_are_refused_when_specified(arcs, where):
+    # one check, at construction, serves band_merge and every knotify step
+    for framing in (1, -2):
+        with pytest.raises(OrientationConflict,
+                           match=f"^twisted bands {where} bare loops are not supported$"):
+            ld.BandSpec(*arcs, framing)
+    assert ld.BandSpec(*arcs).framing == 0
+
+
 def test_band_merge_borromean_gives_whitehead_values():
     d = ld.catalog("borromean")
     m = ld.band_merge(d, ld.borromean_merge_band())
