@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 from . import linkdiag, traces
 from .errors import InputError, InternalInvariantError, MalformedPD, PreconditionError
@@ -283,6 +282,7 @@ def _cmd_batch(args) -> int:
         except Exception as exc:  # noqa: BLE001  - isolate per-entry failures
             band = _error_band(exc)
             if band == "internal":
+                import traceback  # only a bug needs it; it slows start-up
                 traceback.print_exc()  # a bug: keep where it happened
             by_band[band] += 1
             rows.append({"entry": str(label), "ok": False,
@@ -403,6 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001  - anything else is a bug
+        import traceback  # only a bug needs it; it slows start-up
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -279,6 +279,25 @@ class _Builder:
         self.edges[x] = e2
         return edge, e2
 
+    def cut(self, arc: Arc, k: int) -> list[int]:
+        """Cut an edge or a ``("loop", i)`` arc at k interior points;
+        returns the k+1 pieces in flow order, their loose ends to be wired
+        into new crossings by the caller.  An edge's first piece keeps its
+        id.  A cut loop is used up (loops are interchangeable, so i is not
+        read), and its first and last pieces are one fresh edge, numbered
+        after the k-1 inner pieces: freeze starts a component's walk at
+        its least id, so an all-fresh component's walk starts at the first
+        inner piece."""
+        if isinstance(arc, tuple):
+            self.loops -= 1
+            inner = [self.new_edge_id() for _ in range(k - 1)]
+            g = self.new_edge_id()
+            return [g, *inner, g]
+        pieces = [arc]
+        for _ in range(k):
+            pieces.append(self.split_edge(pieces[-1])[1])
+        return pieces
+
     def smooth(self, cids, kept=None):
         """Delete the given crossings, regluing their strands straight
         through; with ``kept``, only the strands whose edges are in it
@@ -704,15 +723,16 @@ def reverse_component(d: LinkDiagram, index: int) -> LinkDiagram:
     return b.freeze()
 
 
-def _component_of_arc(d: LinkDiagram, arc: Arc) -> int:
+def _component_of_arc(d: LinkDiagram, arc: Arc, error: type[Exception]) -> int:
+    """The component an arc lies on; a missing arc raises ``error``."""
     if isinstance(arc, tuple):
         kind, k = arc
         if kind != "loop" or not 0 <= k < d.loops:
-            raise BadComponentIndex(f"bad loop arc {arc}")
+            raise error(f"bad loop arc {arc}")
         return len(d.components) + k
     ec = d.edge_component
     if arc not in ec:
-        raise BadComponentIndex(f"no edge {arc}")
+        raise error(f"no edge {arc}")
     return ec[arc]
 
 
@@ -770,18 +790,17 @@ def _band_merge_builder(d: LinkDiagram, band: BandSpec):
     whether the band runs through a face to the left of arc_a)."""
     if not band.coherent:
         raise OrientationConflict("band gluing reverses orientation")
-    ca = _component_of_arc(d, band.arc_a)
-    cb = _component_of_arc(d, band.arc_b)
+    ca = _component_of_arc(d, band.arc_a, BadComponentIndex)
+    cb = _component_of_arc(d, band.arc_b, BadComponentIndex)
     if ca == cb:
         raise SameComponent("band endpoints on one component")
-    loop_a = isinstance(band.arc_a, tuple)
-    loop_b = isinstance(band.arc_b, tuple)
-
-    if loop_a or loop_b:
+    if isinstance(band.arc_a, tuple) or isinstance(band.arc_b, tuple):
+        # a loop banded to an arc merges into it with no crossing, and two
+        # loops into one loop: both band sides lie on the remaining arc
         b = _thaw(d)
         b.loops -= 1
-        edge = band.arc_b if loop_a else band.arc_a
-        return b, (band.arc_a, band.arc_b) if loop_a and loop_b else (edge, edge), False
+        arc = band.arc_b if isinstance(band.arc_a, tuple) else band.arc_a
+        return b, (arc, arc), False
 
     # A coherent band runs through a shared face along which the arcs
     # are anti-parallel (equal parities) for an even half-twist count and
@@ -813,14 +832,7 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
     xa, xg = b.head_corner(a1), b.head_corner(g1)
     b.edges[xa], b.edges[xg] = g1, a1
     m = abs(band.framing)
-    # pre-split both connectors into m+1 pieces in flow order
-    apiece = [a1]
-    bpiece = [g1]
-    for _ in range(m):
-        _, na = b.split_edge(apiece[-1])
-        apiece.append(na)
-        _, nb = b.split_edge(bpiece[-1])
-        bpiece.append(nb)
+    apiece, bpiece = b.cut(a1, m), b.cut(g1, m)
     anti = m % 2 == 0  # coherence forces the relative direction
     for k in range(m):
         a_in, a_out = apiece[k], apiece[k + 1]
@@ -871,20 +883,10 @@ def r_moves(d: LinkDiagram, move: str, site) -> LinkDiagram:
 def _r1_insert(d: LinkDiagram, arc: Arc, chirality: int, flavor: int) -> LinkDiagram:
     if chirality not in (1, -1) or flavor not in (0, 1):
         raise IllegalSite("R1 wants chirality ±1 and flavor 0|1")
+    _component_of_arc(d, arc, IllegalSite)
     b = _thaw(d)
-    if isinstance(arc, tuple):
-        kind, k = arc
-        if kind != "loop" or not 0 <= k < d.loops:
-            raise IllegalSite(f"bad loop arc {arc}")
-        b.loops -= 1
-        g = b.new_edge_id()
-        e1 = e2 = g
-        f = b.new_edge_id()
-    else:
-        if arc not in d.edge_component:
-            raise IllegalSite(f"no edge {arc}")
-        e1, e2 = b.split_edge(arc)
-        f = b.new_edge_id()
+    e1, e2 = b.cut(arc, 1)
+    f = b.new_edge_id()
     # a positive kink, passing e1 -> f under and then over to e2 for
     # flavor 0, over and then under for flavor 1; reflected, it is negative
     crossing = ((e1, e2, f, f) if flavor == 0 else (f, f, e2, e1)), 1
@@ -914,9 +916,14 @@ def _r1_remove(d: LinkDiagram, cid: int) -> LinkDiagram:
 
 
 def _r2_insert(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
-    if isinstance(over, tuple) or isinstance(under, tuple):
-        return _r2_insert_loop(d, over, under)
-    return _r2_insert_mapped(d, over, under)[0]
+    if isinstance(under, tuple):
+        raise IllegalSite("loop R2 is supported with the loop passing over")
+    if not isinstance(over, tuple):
+        return _r2_insert_mapped(d, over, under)[0]
+    _component_of_arc(d, over, IllegalSite)
+    _component_of_arc(d, under, IllegalSite)
+    # a loop pushed over one strand is a 1-1 tangle, planar either way round
+    return _r2_build(d, over, under, anti=False, mirrored=False)[0]
 
 
 def _r2_insert_mapped(d: LinkDiagram, over: int, under: int):
@@ -936,14 +943,14 @@ def _r2_insert_mapped(d: LinkDiagram, over: int, under: int):
     return _r2_build(d, over, under, po == pu, not po)
 
 
-def _r2_build(d: LinkDiagram, over: int, under: int, anti: bool, mirrored: bool):
+def _r2_build(d: LinkDiagram, over: Arc, under: int, anti: bool, mirrored: bool):
     """Push ``over`` across ``under`` through a face where they run
     anti-parallel or parallel; ``mirrored`` reverses each crossing's
     cyclic order, for a face left of ``over``."""
     b = _thaw(d)
-    e1, e2 = b.split_edge(over)
+    e1, e2 = b.cut(over, 1)
     me = b.new_edge_id()
-    g1, g2 = b.split_edge(under)
+    g1, g2 = b.cut(under, 1)
     mg = b.new_edge_id()
     if anti:
         pattern = [((mg, e1, g2, me), -1), ((g1, e2, mg, me), 1)]
@@ -953,26 +960,6 @@ def _r2_build(d: LinkDiagram, over: int, under: int, anti: bool, mirrored: bool)
         b.add_crossing(*(_reflect(*crossing) if mirrored else crossing))
     frozen = b.freeze()
     return frozen, dict(b.last_edge_map)
-
-
-def _r2_insert_loop(d: LinkDiagram, over: Arc, under: Arc) -> LinkDiagram:
-    if not isinstance(over, tuple):
-        raise IllegalSite("loop R2 is supported with the loop passing over")
-    kind, k = over
-    if kind != "loop" or not 0 <= k < d.loops or isinstance(under, tuple):
-        raise IllegalSite(f"bad loop R2 site ({over}, {under})")
-    if under not in d.edge_component:
-        raise IllegalSite(f"no edge {under}")
-    # a loop pushed over one strand is a 1-1 tangle, planar either way round
-    b = _thaw(d)
-    b.loops -= 1
-    g1, g2 = b.split_edge(under)
-    mg = b.new_edge_id()
-    f1 = b.new_edge_id()
-    f2 = b.new_edge_id()
-    b.add_crossing((g1, f2, mg, f1), 1)
-    b.add_crossing((mg, f2, g2, f1), -1)
-    return b.freeze()
 
 
 def _r2_remove(d: LinkDiagram, c1: int, c2: int) -> LinkDiagram:

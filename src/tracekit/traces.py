@@ -14,6 +14,7 @@ computable necessary conditions and never claim a diffeomorphism.
 
 import json
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,7 +41,6 @@ from .linkdiag import (
     _end_face,
     _reflect,
     _same_piece,
-    _thaw,
     linking_matrix,
     linking_number,
     mirror,
@@ -234,8 +234,7 @@ def framed_mirror(link: FramedLink) -> FramedLink:
 # knotification as diagram surgery
 # ---------------------------------------------------------------------------
 
-def _clasp(b, first: tuple[int, int, int], second: tuple[int, int, int],
-           mirrored: bool = False) -> int:
+def _clasp(b, first: Sequence[int], second: Sequence[int], mirrored: bool = False) -> int:
     """Add the 4-crossing clasp of a 0-framed surgery circle around two
     strands, each given as (in, middle, out) edges already split or
     allocated by the caller.  The first strand passes under the circle
@@ -255,15 +254,18 @@ def _clasp(b, first: tuple[int, int, int], second: tuple[int, int, int],
     return k[0]
 
 
-def _clasp_across(b, conn_a: int, conn_b: int, mirrored: bool) -> tuple[int, int]:
-    """Split two edges of a builder twice each and clasp their middle
-    pieces with ``_clasp``.  Returns (circle edge id, the first edge id
-    the clasp allocated)."""
-    a1, rest = b.split_edge(conn_a)
-    a2, a3 = b.split_edge(rest)
-    b1, restb = b.split_edge(conn_b)
-    b2, b3 = b.split_edge(restb)
-    return _clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored), rest
+def _clasp_across(b, conn_a: Arc, conn_b: Arc, mirrored: bool) -> tuple[int, list[int]]:
+    """Cut two arcs of a builder twice each and clasp their middle pieces
+    with ``_clasp``; one arc given twice is cut four times and its second
+    and fourth pieces are clasped.  Returns (circle edge id, conn_a's
+    clasped pieces), whose second is the first edge id the cuts
+    allocated."""
+    if conn_a == conn_b:
+        pieces = b.cut(conn_a, 4)
+        first, second = pieces[0:3], pieces[2:5]
+    else:
+        first, second = b.cut(conn_a, 2), b.cut(conn_b, 2)
+    return _clasp(b, first, second, mirrored), first
 
 
 def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
@@ -390,39 +392,20 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
     frozen once.  Returns (diagram, circle edge id, merged-component
     representative edge, old-edge map, loops consumed); the map covers
     the edges that existed before the clasp."""
-    loop_a = isinstance(band.arc_a, tuple)
-    loop_b = isinstance(band.arc_b, tuple)
-    if not (loop_a or loop_b):
-        b, (conn_a, conn_b), left = _band_merge_builder(d, band)
-        # The clasp sits in the band's strip face, which lies opposite the
-        # face the band crossed.  For arcs in one piece that is the only
-        # face the connectors share (a 4-valent graph has no bridge);
-        # across pieces both drawings fit, and the unmirrored one is taken.
-        mirrored = _same_piece(d, band.arc_a, band.arc_b) and not left
-        circle, fresh = _clasp_across(b, conn_a, conn_b, mirrored)
-        # the merged diagram is this one with the clasp's four crossings
-        # smoothed away, so it is planar whenever this one is, and only
-        # this freeze checks planarity
-        final = b.freeze()
-        emap = {e: v for e, v in b.last_edge_map.items() if e < fresh}
-        return final, b.last_edge_map[circle], emap[conn_a], emap, 0
-    if loop_a and loop_b and band.arc_a[1] == band.arc_b[1]:
-        raise SameComponent("band endpoints on one loop")
-    # a band from a bare loop: the loop's strand (a2, c1, b2) detours
-    # through the clasp, spliced into the other arc, or closed up by a
-    # fresh strand edge when the other end is a loop too
-    used = 2 if loop_a and loop_b else 1
-    b = _thaw(d)
-    b.loops -= used
-    a2, b2, c1 = (b.new_edge_id() for _ in range(3))
-    if used == 2:
-        g1 = g2 = b.new_edge_id()
-    else:
-        g1, g2 = b.split_edge(band.arc_b if loop_a else band.arc_a)
-    circle = _clasp(b, (g1, a2, c1), (c1, b2, g2))
-    merged = b.freeze()
-    emap = dict(b.last_edge_map)
-    return merged, emap[circle], emap[a2], emap, used
+    b, (conn_a, conn_b), left = _band_merge_builder(d, band)
+    # The clasp sits in the band's strip face, which lies opposite the
+    # face the band crossed.  For arcs in one piece that is the only
+    # face the connectors share (a 4-valent graph has no bridge);
+    # across pieces both drawings fit, and the unmirrored one is taken.
+    # A band at a loop leaves one arc, which the clasp meets twice.
+    mirrored = conn_a != conn_b and not left and _same_piece(d, band.arc_a, band.arc_b)
+    circle, (knot, fresh, _) = _clasp_across(b, conn_a, conn_b, mirrored)
+    # the merged diagram is this one with the clasp's four crossings
+    # smoothed away, so it is planar whenever this one is, and only
+    # this freeze checks planarity
+    final = b.freeze()
+    emap = {e: v for e, v in b.last_edge_map.items() if e < fresh}
+    return final, b.last_edge_map[circle], b.last_edge_map[knot], emap, d.loops - final.loops
 
 
 def _knotify_blocks(d: LinkDiagram, blocks):

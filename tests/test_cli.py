@@ -587,13 +587,16 @@ IMPORT_FOOTPRINT = (
 
 
 def test_cli_start_loads_no_dataclasses_or_fractions():
-    # every command process pays for these imports before its own work
+    # every command process pays for these imports before its own work;
+    # traceback (with linecache, tokenize, token and textwrap) serves
+    # only the exit-4 paths
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_FOOTPRINT, src],
                           capture_output=True, text=True, timeout=60, check=True)
     loaded = set(proc.stdout.split())
     assert "tracekit.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "traceback",
+                         "linecache", "tokenize", "token", "textwrap"}
     # the rational branch still imports what it builds
     _, _, det = congruence_eliminate([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     assert type(det) is Fraction and det == Fraction(1, 6)

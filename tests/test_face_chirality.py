@@ -192,8 +192,9 @@ def test_clasp_on_every_equal_parity_pair_matches_trial_order(corpus):
 
 
 def _steps(corpus):
-    """(diagram, band) for every coherent non-loop band site of the
-    corpus, over a spread of framings."""
+    """(diagram, band) for every coherent band site of the corpus: edge
+    pairs over a spread of framings, and each loop banded to every edge,
+    either way round, and to every other loop."""
     for d, pairs in corpus:
         for a, b in _band_sites(d, pairs):
             for framing in (0, 1, -2, 3):
@@ -203,6 +204,18 @@ def _steps(corpus):
                 except OrientationConflict:
                     continue
                 yield d, band
+        loops = [("loop", k) for k in range(d.loops)]
+        for x in loops:
+            for e in d.edges:
+                yield d, ld.BandSpec(x, e)
+                yield d, ld.BandSpec(e, x)
+            for y in loops:
+                if x != y:
+                    yield d, ld.BandSpec(x, y)
+
+
+def _is_loop_band(band):
+    return isinstance(band.arc_a, tuple) or isinstance(band.arc_b, tuple)
 
 
 def test_each_band_and_clasp_step_freezes_once(monkeypatch, corpus):
@@ -214,17 +227,19 @@ def test_each_band_and_clasp_step_freezes_once(monkeypatch, corpus):
         return real(self)
 
     monkeypatch.setattr(ld._Builder, "freeze", counting)
-    steps = 0
+    steps = loop_steps = 0
     for d, band in _steps(corpus):
         del freezes[:]
         tr._knotify_step(d, band)
         assert len(freezes) == 1
         steps += 1
+        loop_steps += _is_loop_band(band)
     assert steps > 1200
+    assert loop_steps >= 30  # trefoil+O and hopf+O,O alone give 30
 
 
 def test_smoothing_the_clasp_gives_the_band_merge(corpus):
-    steps = 0
+    steps = loop_steps = 0
     for d, band in _steps(corpus):
         final, circle, _, _, _ = tr._knotify_step(d, band)
         ring = set(final.components[final.edge_component[circle]])
@@ -234,7 +249,9 @@ def test_smoothing_the_clasp_gives_the_band_merge(corpus):
         b.smooth(clasp, kept=set(final.edges) - ring)
         assert b.freeze() == ld._band_merge_full(d, band)[0]
         steps += 1
+        loop_steps += _is_loop_band(band)
     assert steps > 1200
+    assert loop_steps >= 30  # trefoil+O and hopf+O,O alone give 30
 
 
 # -- no drawing is built twice --------------------------------------------------------

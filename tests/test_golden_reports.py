@@ -4,8 +4,11 @@ Every seed-1 item of the three benchmark corpora (``perfbench/corpus.py``)
 runs in-process through ``tracekit.cli.main``, and each report's sha256
 must equal the one recorded in ``perfbench/golden/<workload>.json``.  A
 refactor that changes any report fails here, without a benchmark run.
-The benchmark directory is only read: its corpus module is loaded
-without writing bytecode, and the input files go under ``tmp_path``.
+The traced run's tracer must also find every function it wraps: it
+drops the metrics of a group whose function is gone, so renaming or
+deleting one would change the benchmark's metric set.
+The benchmark directory is only read: its modules are loaded without
+writing bytecode, and the input files go under ``tmp_path``.
 """
 
 import contextlib
@@ -24,10 +27,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN_SEED = 1
 
 
-def _load_corpus():
-    spec = importlib.util.spec_from_file_location("_golden_corpus", PERFBENCH / "corpus.py")
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"_golden_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
+    sys.modules[spec.name] = module  # their dataclasses look their module up
     before = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
@@ -37,7 +40,7 @@ def _load_corpus():
     return module
 
 
-corpus = _load_corpus()
+corpus = _load_perfbench("corpus")
 
 
 @pytest.mark.parametrize("workload", corpus.WORKLOADS)
@@ -64,3 +67,13 @@ def run_item(item, path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(item.command(str(path) if item.text is not None else None))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_tracer_wraps_every_group():
+    module = _load_perfbench("tracer")
+    tracer = module.Tracer()
+    tracer.install()  # over the imported tracekit.cli and its layers
+    try:
+        assert tracer.present == set(module.GROUPS)
+    finally:
+        tracer.uninstall()
