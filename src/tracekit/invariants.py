@@ -226,9 +226,6 @@ class PlanarVerdict(NamedTuple):
     status: str
     chain: tuple[Verdict, ...] = ()
 
-    def as_dicts(self) -> list[dict]:
-        return [v.as_dict() for v in self.chain]
-
 
 def planar_obstruction(d: LinkDiagram) -> PlanarVerdict:
     """Obstruct a planar (genus zero) surface in the 4-ball via tau, and

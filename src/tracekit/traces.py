@@ -6,7 +6,10 @@ the framing-linking matrix Q of the 2-handles, and the winding matrix W
 of attaching circles over 1-handles.  Knotification is performed as
 honest diagram surgery: oriented band merges followed by the insertion
 of a small surgery circle clasping each band, so the null-homology of
-the resulting knot is audited with linking numbers rather than assumed.
+the resulting knot is checked with linking numbers rather than assumed.
+High-order traces are closed-form: their Q and W follow from the linking
+matrix and the partition, and the tests audit them against every block
+knotified inside the one diagram.
 
 Candidate checks (homotopy 4-sphere, Schoenflies) only ever test the
 computable necessary conditions and never claim a diffeomorphism.
@@ -74,7 +77,8 @@ class FramedLink(namedtuple("FramedLink", "diagram framings")):
 
 
 class WeightedPartition(NamedTuple):
-    """Blocks of component indices, each carrying a genus weight >= 0.
+    """Nonempty blocks of component indices, each carrying a genus weight
+    >= 0; every component lies in exactly one block, once.
     Blocks are kept sorted by least member, so equal partitions compare
     equal regardless of input order."""
 
@@ -83,7 +87,7 @@ class WeightedPartition(NamedTuple):
 
     @staticmethod
     def of(blocks, weights, components: int) -> "WeightedPartition":
-        blocks = [tuple(sorted(set(b))) for b in blocks]
+        blocks = [tuple(sorted(b)) for b in blocks]
         weights = list(weights)
         if len(blocks) != len(weights):
             raise NotAPartition("one weight per block required")
@@ -95,6 +99,8 @@ class WeightedPartition(NamedTuple):
                 f"1-handles; partitions are limited to {CATALOG_MAX_SIZE}")
         seen: set[int] = set()
         for b in blocks:
+            if not b:
+                raise NotAPartition("blocks must not be empty")
             for i in b:
                 if not 0 <= i < components or i in seen:
                     raise NotAPartition(f"blocks do not partition 0..{components - 1}")
@@ -408,62 +414,31 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
     return final, b.last_edge_map[circle], b.last_edge_map[knot], emap, d.loops - final.loops
 
 
-def _knotify_blocks(d: LinkDiagram, blocks):
-    """Knotify every block of component indices inside the one diagram:
-    band each block's components into one knot, pushing an arc across
-    with R2 moves while no band fits, and clasp every band with a
-    0-framed surgery circle.  Returns (diagram, circle edges per block,
-    knot component per block).  Blocks are tracked by representative
-    edges of their components, bare loops by count (crossing-free
-    circles are interchangeable); only those and the circle edges are
-    remapped after each move."""
-    nedge = len(d.components)
-    reps = [[d.components[i][0] for i in block if i < nedge] for block in blocks]
-    loops = [sum(1 for i in block if i >= nedge) for block in blocks]
-    circles: list[list[int]] = [[] for _ in blocks]
+def _knotify_all(d: LinkDiagram):
+    """Band every component of the diagram into one knot, pushing an arc
+    across with R2 moves while no band fits, and clasp every band with a
+    0-framed surgery circle.  Returns (diagram, circle edges).  The
+    components still open are those that carry no circle, so only the
+    circle edges are remapped after each move."""
+    circles: list[int] = []
 
-    def remap(emap):
-        for lst in reps:
-            lst[:] = [emap[e] for e in lst if e in emap]
-        for lst in circles:
-            lst[:] = [emap[e] for e in lst]
-
-    def candidates(bi):
+    def open_comps():
         ec = d.edge_component
-        return ({ec[e] for e in reps[bi]}
-                | {len(d.components) + k for k in range(loops[bi])})
+        return set(range(d.num_components)) - {ec[e] for e in circles}
 
-    for bi in range(len(blocks)):
-        while len(comps := candidates(bi)) > 1:
-            for _ in range(4 * len(d.crossings) + 12):
-                band = _direct_band(d, comps)
-                if band is not None:
-                    break
-                d, push_map = _transport_push(d, comps)
-                remap(push_map)
-                comps = candidates(bi)
-            else:
-                raise BadBands(f"band transport did not converge for {sorted(comps)}")
-            d, circle_edge, knot_edge, step_map, loops_used = _knotify_step(d, band)
-            remap(step_map)
-            loops[bi] -= loops_used
-            circles[bi].append(circle_edge)
-            reps[bi].append(knot_edge)
-
-    ec = d.edge_component
-    knots = []
-    loop_cursor = len(d.components)
-    for bi in range(len(blocks)):
-        if reps[bi]:
-            knots.append(ec[reps[bi][0]])
+    while len(comps := open_comps()) > 1:
+        for _ in range(4 * len(d.crossings) + 12):
+            band = _direct_band(d, comps)
+            if band is not None:
+                break
+            d, push_map = _transport_push(d, comps)
+            circles = [push_map[e] for e in circles]
+            comps = open_comps()
         else:
-            # the block knotified to a bare loop (or was one); bare loops
-            # are interchangeable, so hand out positions in block order
-            if loops[bi] != 1:
-                raise InternalInvariantError("block lost its loop count")
-            knots.append(loop_cursor)
-            loop_cursor += 1
-    return d, circles, knots
+            raise BadBands(f"band transport did not converge for {sorted(comps)}")
+        d, circle_edge, _, step_map, _ = _knotify_step(d, band)
+        circles = [step_map[e] for e in circles] + [circle_edge]
+    return d, circles
 
 
 def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedLink:
@@ -477,7 +452,7 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
     d = link.diagram
     ell = link.components
     if bands is None:
-        cur, (circle_edges,), _ = _knotify_blocks(d, [range(ell)])
+        cur, circle_edges = _knotify_all(d)
     elif len(bands) != ell - 1:
         raise BadBands(f"need {ell - 1} bands, got {len(bands)}")
     else:
@@ -520,14 +495,9 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
 # high order traces
 # ---------------------------------------------------------------------------
 
-def _commutator_word(genus: int, base: int) -> list[int]:
-    """Attaching word of a genus handle over its 2g dotted circles:
-    product of commutators, recorded as signed generator indices."""
-    word = []
-    for g in range(genus):
-        a, b = base + 2 * g, base + 2 * g + 1
-        word += [a + 1, b + 1, -(a + 1), -(b + 1)]
-    return word
+def _block_law(lkm: list[list[int]], block: Sequence[int]) -> int:
+    """-2 lk(block): the framing sum a planar handle along the block needs."""
+    return -2 * sum(lkm[i][j] for i in block for j in block if i < j)
 
 
 def high_order_trace(link: FramedLink, partition: WeightedPartition,
@@ -536,62 +506,26 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
     and add the genus weights as extra 1-handle pairs.
 
     Preconditions: each block satisfies the planar framing law
-    sum_{i in block} t_i = -2 lk(block).  The winding matrix is audited:
-    band circles from the per-block knotifications performed in the full
-    diagram, genus rows from the commutator attaching words."""
-    d = link.diagram
-    ell = link.components
-    part = WeightedPartition.of(partition.blocks, partition.weights, ell)
-    lkm = linking_matrix(d)
-    for block in part.blocks:
-        internal = sum(lkm[i][j] for i in block for j in block if i < j)
+    sum_{i in block} t_i = -2 lk(block), so each block's knot is
+    0-framed.  Everything else is read from the linking matrix, with no
+    diagram built: band sums and null-homologous clasp circles change no
+    linking number, so two blocks' knots link by their cross-block sum,
+    and every band circle and every commutator genus generator winds 0,
+    giving sum(|block| - 1 + 2g) zero rows of W.  The tests audit this
+    against the blocks knotified inside the one diagram."""
+    part = WeightedPartition.of(partition.blocks, partition.weights, link.components)
+    blocks = part.blocks
+    lkm = linking_matrix(link.diagram)
+    for block in blocks:
         total = sum(link.framings[i] for i in block)
-        if total != -2 * internal:
+        if total != (need := _block_law(lkm, block)):
             raise InvalidBlockFraming(
-                f"block {block}: framings sum to {total}, need {-2 * internal}")
-
-    cur, circle_edges, knot_comp = _knotify_blocks(d, part.blocks)
-    ec = cur.edge_component
-
-    # audit: every knotified circle is null-homologous over every handle
-    w_rows = []
-    for bi in range(part.block_count):
-        for e in circle_edges[bi]:
-            row = [linking_number(cur, ec[e], knot_comp[bj])
-                   if knot_comp[bj] != ec[e] else 0
-                   for bj in range(part.block_count)]
-            w_rows.append(row)
-    if any(any(row) for row in w_rows):
-        raise InternalInvariantError("knotified attaching circles wind over band circles")
-    # genus rows: abelianized commutator words vanish by computation
-    genus_rows = []
-    base = 0
-    for bi, g in enumerate(part.weights):
-        exponents = [0] * (2 * g)
-        for x in _commutator_word(g, base):
-            exponents[abs(x) - base - 1] += 1 if x > 0 else -1
-        for exponent in exponents:
-            row = [0] * part.block_count
-            row[bi] = exponent
-            genus_rows.append(row)
-        base += 2 * g
-
-    # audited Q: pairwise linking of the knotifications equals the
-    # cross-block linking sums
-    k = part.block_count
-    q = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            got = linking_number(cur, knot_comp[a], knot_comp[b])
-            expected = sum(lkm[i][j] for i in part.blocks[a] for j in part.blocks[b])
-            if got != expected:
-                raise InternalInvariantError(
-                    f"knotified linking {got} != cross-block sum {expected}")
-            q[a][b] = q[b][a] = got
-
-    h1 = sum(2 * g + len(b) - 1 for g, b in zip(part.weights, part.blocks))
-    w = tuple(tuple(row) for row in (w_rows + genus_rows))
-    return HandleDecomposition((1, h1, k, 0, 0), tuple(tuple(r) for r in q), w, provenance)
+                f"block {block}: framings sum to {total}, need {need}")
+    k = len(blocks)
+    q = tuple(tuple(0 if a == b else sum(lkm[i][j] for i in blocks[a] for j in blocks[b])
+                    for b in range(k)) for a in range(k))
+    h1 = sum(2 * g + len(b) - 1 for g, b in zip(part.weights, blocks))
+    return HandleDecomposition((1, h1, k, 0, 0), q, ((0,) * k,) * h1, provenance)
 
 
 def surface_partition(d: LinkDiagram, pieces) -> tuple[WeightedPartition, tuple]:
@@ -601,11 +535,7 @@ def surface_partition(d: LinkDiagram, pieces) -> tuple[WeightedPartition, tuple]
     part = WeightedPartition.of([p[1] for p in pieces], [p[0] for p in pieces],
                                 d.num_components)
     lkm = linking_matrix(d)
-    constraints = tuple(
-        (block, -2 * sum(lkm[i][j] for i in block for j in block if i < j))
-        for block in part.blocks
-    )
-    return part, constraints
+    return part, tuple((block, _block_law(lkm, block)) for block in part.blocks)
 
 
 # ---------------------------------------------------------------------------

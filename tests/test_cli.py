@@ -49,6 +49,25 @@ def test_trace_partition(capsys):
     assert data["chi"] == 1
 
 
+@pytest.mark.parametrize("partition", ["1,1,2:g=0", "1,2,2:g=0", "1,2:g=0|2:g=0", "2,1,2:g=1"])
+def test_trace_partition_refuses_repeated_members(capsys, partition):
+    code = cli.main(["trace", "--catalog", "hopf:+", "--framings=-1,-1",
+                     "--partition", partition])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("precondition violated: blocks do not partition")
+
+
+@pytest.mark.parametrize("partition", [":g=0|1,2:g=0", "1,2:g=0|", "1,2:g=0|,:g=0"])
+def test_trace_partition_empty_block_is_an_input_error(capsys, partition):
+    # the option's syntax has no empty block: an empty body is bad text
+    code = cli.main(["trace", "--catalog", "hopf:+", "--framings=-1,-1",
+                     "--partition", partition])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("input error: bad partition block")
+
+
 def test_check_sphere_unlink(capsys):
     code, out = run(capsys, "check-sphere", "--catalog", "unlink:2",
                     "--framings", "0,0")

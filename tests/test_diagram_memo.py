@@ -10,11 +10,11 @@ none of them pairs corners again.
 """
 
 import importlib
-import itertools
 import sys
 
 import pytest
 
+from ref_blocks import knotify_blocks
 from test_face_chirality import _corpus, _edge_pairs
 from test_golden_reports import GOLDEN_SEED, run_item
 from test_golden_reports import corpus as bench_corpus
@@ -35,17 +35,12 @@ def corpus():
 
 
 def _exercise(d, pairs):
-    """knotify, a high-order trace, the invariant report and R2 pushes."""
+    """knotify, a two-block knotification, the invariant report and R2
+    pushes."""
     n = d.num_components
     tr.knotify(tr.FramedLink(d, (0,) * n))
     if n >= 2:
-        part = tr.WeightedPartition.of([range(0, n, 2), range(1, n, 2)], [1, 0], n)
-        lk = ld.linking_matrix(d)
-        framings = [0] * n
-        for block in part.blocks:
-            framings[block[-1]] = -2 * sum(lk[i][j] for i, j in
-                                           itertools.combinations(block, 2))
-        tr.high_order_trace(tr.FramedLink(d, tuple(framings)), part)
+        knotify_blocks(d, [range(0, n, 2), range(1, n, 2)])
     obstruction_report(d)
     for over, under in pairs:
         ld.r_moves(d, "R2+", (over, under))
@@ -100,16 +95,19 @@ def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
 
 
 def test_seed1_surgery_pass_freezes_once_per_band_and_clasp_step(monkeypatch, tmp_path):
-    """A seed-1 pass over the benchmark's surgery corpus makes 251
+    """A seed-1 pass over the benchmark's surgery corpus makes 184
     freezes.  Building each band merge and its clasp in one builder took
-    122 freezes off the 373 of two builds per step."""
+    122 freezes off the 373 of two builds per step, and the 26
+    ``trace --partition`` items stopped freezing (251 before) when
+    high-order traces were read from the linking matrix instead of
+    knotifying every block."""
     items = bench_corpus.build("surgery", GOLDEN_SEED)
     calls = {"freeze": 0}
     monkeypatch.setattr(ld._Builder, "freeze",
                         _counting(calls, "freeze", ld._Builder.freeze))
     for k, item in enumerate(items):
         assert run_item(item, tmp_path / f"item{k}")[0] == 0
-    assert calls["freeze"] == 251
+    assert calls["freeze"] == 184
 
 
 def test_memo_is_never_mutated(corpus):

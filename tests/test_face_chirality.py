@@ -16,6 +16,7 @@ import random
 import pytest
 
 from conftest import base_seed, random_connected_diagram
+from ref_blocks import knotify_blocks
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.errors import IllegalSite, MalformedPD, OrientationConflict
@@ -272,13 +273,7 @@ def test_surgery_core_never_builds_a_nonplanar_diagram(monkeypatch, corpus):
         n = d.num_components
         tr.knotify(tr.FramedLink(d, (0,) * n))
         if n >= 2:
-            part = tr.WeightedPartition.of([range(0, n, 2), range(1, n, 2)], [1, 0], n)
-            lk = ld.linking_matrix(d)
-            framings = [0] * n
-            for block in part.blocks:
-                framings[block[-1]] = -2 * sum(lk[i][j] for i, j in
-                                               itertools.combinations(block, 2))
-            tr.high_order_trace(tr.FramedLink(d, tuple(framings)), part)
+            knotify_blocks(d, [range(0, n, 2), range(1, n, 2)])
         for a, b in _band_sites(d, pairs):
             for framing in (-1, 2):
                 try:

@@ -4,7 +4,8 @@ Every command must answer a random diagram with a report or a clean
 input/precondition error: no traceback, and exit code 0, 2 or 3.  The
 inputs are PD JSON and PD text of at most 6 crossings, some of them
 valid braid closures and some perturbed or random, with random loop
-counts, framings, dotted lists and ``--bands`` values.  Sizes stay small
+counts, framings, dotted lists, ``--bands`` values and ``trace
+--partition`` values.  Sizes stay small
 because reports grow quadratically with the component count.  The run is
 seeded from TRACEKIT_SEED.
 """
@@ -55,6 +56,16 @@ bands = st.one_of(
 framing_lists = st.lists(st.integers(-5, 5), max_size=5)
 cli_framings = st.one_of(st.none(), framing_lists.map(lambda f: ",".join(map(str, f))),
                          st.text(max_size=6))
+# well-shaped "i,j:g=N|..." blocks with out-of-range, repeated and
+# missing indices and negative genera, random text, or no option
+partition_blocks = st.tuples(st.lists(st.integers(-1, 6), min_size=1, max_size=4),
+                             st.integers(-1, 3))
+partitions = st.one_of(
+    st.none(),
+    st.lists(partition_blocks, min_size=1, max_size=3).map(
+        lambda blocks: "|".join(f"{','.join(map(str, b))}:g={g}" for b, g in blocks)),
+    st.text(max_size=10),
+)
 
 
 @st.composite
@@ -72,7 +83,8 @@ def inputs(draw):
     else:
         tuples = [f"X({','.join(map(str, r))})" for r in rows]
         name, text = "link.txt", ", ".join(tuples + ["O"] * max(loops, 0))
-    opts = {"--framings": draw(cli_framings), "--bands": draw(bands)}
+    opts = {"--framings": draw(cli_framings), "--bands": draw(bands),
+            "--partition": draw(partitions)}
     return name, text, opts
 
 
@@ -106,6 +118,8 @@ def test_commands_never_crash_on_random_pd(workdir, case):
                 argv.append(f"--framings={opts['--framings']}")
         if command == "knotify" and opts["--bands"] is not None:
             argv.append(f"--bands={opts['--bands']}")
+        if command == "trace" and opts["--partition"] is not None:
+            argv.append(f"--partition={opts['--partition']}")
         code, err = run_cli(argv)
         assert "Traceback" not in err, (argv, text)
         assert code in (0, 2, 3), (argv, text, err)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from conftest import random_connected_diagram
+from ref_blocks import knotify_blocks
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.errors import (
@@ -57,13 +58,13 @@ def _stuck_push(pushes):
 
 
 def test_high_order_transport_stops_at_its_bound(monkeypatch):
+    """The audit's block knotification gives up where knotify does."""
     d = ld.from_braid([1, 1, 2, 2], 3)  # components 0 and 2 never cross
     assert tr._direct_band(d, {0, 2}) is None
     pushes = []
     monkeypatch.setattr(tr, "_transport_push", _stuck_push(pushes))
-    part = tr.WeightedPartition.of([(0, 2), (1,)], [0, 0], 3)
     with pytest.raises(BadBands, match="did not converge"):
-        tr.high_order_trace(tr.FramedLink(d, (0, 0, 0)), part)
+        knotify_blocks(d, [(0, 2), (1,)])
     assert pushes == [len(d.crossings)] * (4 * len(d.crossings) + 12)
 
 
@@ -338,12 +339,22 @@ def test_high_order_chi_formula_partitions():
             assert h.chi == expected
 
 
+def _commutator_word(genus: int, base: int) -> list[int]:
+    """Attaching word of a genus handle over its 2g dotted circles:
+    product of commutators, recorded as signed generator indices."""
+    word = []
+    for g in range(genus):
+        a, b = base + 2 * g, base + 2 * g + 1
+        word += [a + 1, b + 1, -(a + 1), -(b + 1)]
+    return word
+
+
 def _quadratic_genus_rows(weights, block_count):
     """The genus rows as first computed: each generator's exponent summed
     over the whole commutator word."""
     rows, base = [], 0
     for bi, g in enumerate(weights):
-        word = tr._commutator_word(g, base)
+        word = _commutator_word(g, base)
         for local in range(2 * g):
             gen = base + local + 1
             row = [0] * block_count
@@ -413,6 +424,20 @@ def test_surface_partition_errors():
         tr.surface_partition(d, [(0, (0, 1)), (0, (1,))])
     with pytest.raises(NotAPartition):
         tr.surface_partition(d, [(-1, (0, 1))])
+    with pytest.raises(NotAPartition):
+        tr.surface_partition(d, [(0, {0, 1}), (1, set())])
+
+
+@pytest.mark.parametrize("blocks, weights, n", [
+    ([[], [0]], [0, 0], 1),
+    ([[0], []], [0, 0], 1),
+    ([[0, 0, 1]], [0], 2),
+    ([[1, 0, 1], [2]], [0, 0], 3),
+    ([[0, 1], [1]], [0, 0], 2),
+])
+def test_partition_refuses_empty_blocks_and_repeated_members(blocks, weights, n):
+    with pytest.raises(NotAPartition):
+        tr.WeightedPartition.of(blocks, weights, n)
 
 
 # -- candidate checks --------------------------------------------------------------------
