@@ -6,12 +6,13 @@ entries, which it scales to integers first; only that rational branch
 imports ``fractions``, so integer callers never load it.  Matrices are
 lists of lists, row major, and inputs are never mutated.
 
-``congruence_eliminate`` is the symmetric-form kernel: sparse
-minimum-degree congruence elimination, fraction-free in the manner of
-Bareiss, that yields the signature and the determinant in one pass.
-Invariant reports use it on Goeritz forms, and ``signature_symmetric``
-wraps it with input checks.  ``det_int`` is dense Bareiss elimination,
-kept as the independent determinant.
+``congruence_rows`` is the symmetric-form kernel: sparse minimum-degree
+congruence elimination of integer rows keyed by any ints (face ids, for
+the Goeritz rows of reports), fraction-free in the manner of Bareiss,
+that yields the signature and the determinant in one pass.
+``congruence_eliminate`` is its dense wrapper, and
+``signature_symmetric`` wraps that with input checks.  ``det_int`` is
+dense Bareiss elimination, kept as the independent determinant.
 """
 
 import heapq
@@ -191,21 +192,39 @@ def cokernel(m: IntMatrix, ambient_rank: int | None = None) -> tuple[int, tuple[
 
 
 def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":
-    """Diagonalize a symmetric matrix by exact congruence, with sparse
-    rows and minimum-degree pivoting; returns (pos, neg, det).
+    """Diagonalize a symmetric matrix by exact congruence; returns (pos,
+    neg, det), as ``congruence_rows`` does for its rows.  The input must
+    be square and symmetric; it is not checked here.  A rational input
+    is first multiplied by the lcm of its nonzero entries'
+    denominators, and det is divided back."""
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
+    scale = lcm(*(x.denominator for r in rows.values() for x in r.values()))
+    if scale != 1:
+        rows = {i: {j: (x * scale).numerator for j, x in r.items()}
+                for i, r in rows.items()}
+    pos, neg, d = congruence_rows(rows)
+    if scale == 1:
+        return pos, neg, d
+    from fractions import Fraction  # loaded already: the input holds Fractions
+
+    det = Fraction(d, scale ** len(m))
+    return pos, neg, det.numerator if det.denominator == 1 else det
+
+
+def congruence_rows(rows: dict[int, dict[int, int]]) -> tuple[int, int, int]:
+    """Diagonalize a symmetric integer form, given as rows ``{key: {key:
+    nonzero entry}}`` with a row (maybe empty) for every key, by exact
+    congruence with minimum-degree pivoting; returns (pos, neg, det).
+    The rows are used up.
 
     pos and neg count the positive and negative pivots, so pos - neg is
     the signature, and det is the product of the pivots, which is the
-    determinant (an int for an integer matrix; 0 when singular).  When
-    every remaining diagonal entry is zero, row and column j are added
-    to row and column i for some nonzero entry (i, j): the hyperbolic
-    step makes the diagonal entry 2 * m[i][j] and, being unimodular,
-    keeps the determinant and its sign.  The input must be square and
-    symmetric; it is not checked here.
-
-    The elimination is fraction-free (symmetric Bareiss) and uses only
-    exact int division.  A rational input is first multiplied by the lcm
-    of its nonzero entries' denominators, and det is divided back.
+    determinant (0 when singular).  When every remaining diagonal entry
+    is zero, row and column j are added to row and column i for some
+    nonzero entry (i, j): the hyperbolic step makes the diagonal entry
+    2 * m[i][j] and, being unimodular, keeps the determinant and its
+    sign.  The elimination is fraction-free (symmetric Bareiss) and uses
+    only exact int division.
     Invariant: after rational pivots s_1, ..., s_t, the rational Schur
     complement S is held as the integers A = D * S, where D = s_1 * ...
     * s_t is also the last integer pivot value (D = 1 before the
@@ -220,15 +239,10 @@ def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":
     written, and a pivot rescales only its neighbour rows, dividing by
     level[j] in place of D, so rows away from the pivot stay as they
     are and the work stays sparse."""
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
-    scale = lcm(*(x.denominator for r in rows.values() for x in r.values()))
-    if scale != 1:
-        rows = {i: {j: (x * scale).numerator for j, x in r.items()}
-                for i, r in rows.items()}
     # level[j]: the D at which row j was last brought up to date; row j
     # holds level[j] * S, and D * S is an integer, so x * D // level[j] is
     # exact for each of its entries x
-    level = [1] * len(rows)
+    level = dict.fromkeys(rows, 1)
     # (off-diagonal degree, index) of every row with a nonzero diagonal;
     # a row pushes a fresh entry when it changes, and stale ones are skipped
     heap = [(len(r) - 1, i) for i, r in rows.items() if i in r]
@@ -307,12 +321,7 @@ def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":
                     del rk[i], ri[k]
         ri[i] = 2 * ri[j]  # m[i][i] + 2 m[i][j] + m[j][j] with both ends zero
         eliminate(i)
-    if scale == 1:
-        return pos, neg, d
-    from fractions import Fraction  # loaded already: the input holds Fractions
-
-    det = Fraction(d, scale ** len(m))
-    return pos, neg, det.numerator if det.denominator == 1 else det
+    return pos, neg, d
 
 
 def signature_symmetric(m) -> int:

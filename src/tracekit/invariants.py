@@ -1,14 +1,14 @@
 """Classical diagram invariants and sliceness obstructions.
 
 Reports take the signature and the determinant from the Goeritz form of
-each checkerboard shading, corrected by the crossing types
-(Gordon-Litherland): one sparse congruence pass per shading gives both,
-and the two shadings must agree on sigma and on |det|.  The symmetrized
-Seifert matrix of a braid-form presentation (``signature_seifert``,
-``determinant``) is a fully independent second engine; no report calls
-it, and the test suite uses it as the oracle.  ``determinant_goeritz``
-stays on dense Bareiss elimination so that it checks reports
-independently of the congruence kernel.
+a checkerboard shading, corrected by the crossing types
+(Gordon-Litherland): either shading gives both, so one sparse congruence
+pass per connected piece does, and the tests audit the other shading.
+The symmetrized Seifert matrix of a braid-form presentation
+(``signature_seifert``, ``determinant``) is a fully independent second
+engine; no report calls it, and the test suite uses it as the oracle.
+``determinant_goeritz`` stays on dense Bareiss elimination so that it
+checks reports independently of the congruence kernel.
 
 For connected alternating diagrams the concordance invariant tau is
 (l - 1 - sigma)/2, calibrated so the right-handed trefoil has tau = 1;
@@ -26,7 +26,7 @@ from .errors import (
     ParityViolation,
     PreconditionError,
 )
-from .exactlinalg import congruence_eliminate, det_int, signature_symmetric
+from .exactlinalg import congruence_rows, det_int, signature_symmetric
 from .linkdiag import LinkDiagram, is_alternating, is_connected
 from .seifert import SeifertData, seifert
 
@@ -61,26 +61,14 @@ class GoeritzData(NamedTuple):
     shading: int  # 0 or 1, which color class of faces was used
 
 
-def _checkerboard_edges(d: LinkDiagram):
-    """Edges of the two shading graphs: each crossing joins its opposite
-    face corners, (0,2) with weight +1 and (1,3) with weight -1."""
+def _shadings(d: LinkDiagram) -> list[tuple[list[int], list[tuple[int, int, int, int]]]]:
+    """The checkerboard shading classes of the faces, each as (its faces
+    in order, its crossing edges (a, b, weight, crossing sign)): every
+    crossing joins its opposite face corners, (0,2) with weight +1 and
+    (1,3) with weight -1.  A face walk never leaves its piece, so each
+    piece has two classes."""
     face_of = d.face_of
-    edges = []
-    for c in d.crossings:
-        x = 4 * c.id
-        edges.append((face_of[x], face_of[x + 2], 1, c.sign))
-        edges.append((face_of[x + 1], face_of[x + 3], -1, c.sign))
-    return edges
-
-
-def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, GoeritzData]:
-    """Both shadings' Goeritz data for a connected diagram."""
-    if not is_connected(d):
-        raise DisconnectedDiagram("Goeritz form needs a connected diagram")
-    edges = _checkerboard_edges(d)
-    vertices = sorted({v for a, b, _, _ in edges for v in (a, b)})
-    # the white/black classes are the two components of the union graph
-    parent = {v: v for v in vertices}
+    parent = list(range(len(d.face_corners)))
 
     def find(x):
         while parent[x] != x:
@@ -88,63 +76,80 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, GoeritzData]:
             x = parent[x]
         return x
 
-    for a, b, _, _ in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    class_of = {v: find(v) for v in vertices}
-    classes = sorted(set(class_of.values()))
-    if d.crossings and len(classes) != 2:
+    edges = []
+    for c in d.crossings:
+        x = 4 * c.id
+        for a, b, weight in ((face_of[x], face_of[x + 2], 1),
+                             (face_of[x + 1], face_of[x + 3], -1)):
+            edges.append((a, b, weight, c.sign))
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    classes = {}
+    for f in range(len(parent)):
+        classes.setdefault(find(f), ([], []))[0].append(f)
+    if len(classes) != 2 * len(d.pieces):
         raise InternalInvariantError(f"{len(classes)} shading classes")
+    for edge in edges:
+        classes[find(edge[0])][1].append(edge)
+    return [classes[root] for root in sorted(classes)]
 
+
+def _goeritz_rows(edges, faces) -> tuple[dict[int, dict[int, int]], int]:
+    """One shading's Goeritz form as sparse rows {face: {face: nonzero}},
+    the first face dropped, and the correction from the crossings whose
+    type matches the shading."""
+    g = {f: {} for f in faces}
+    for a, b, weight, _ in edges:
+        if a != b:
+            ga, gb = g[a], g[b]
+            ga[b] = ga.get(b, 0) + weight
+            gb[a] = gb.get(a, 0) + weight
+            ga[a] = ga.get(a, 0) - weight
+            gb[b] = gb.get(b, 0) - weight
+    first = faces[0]
+    rows = {f: {h: x for h, x in g[f].items() if x and h != first} for f in faces[1:]}
+    return rows, sum(weight for _, _, weight, sign in edges if weight == sign)
+
+
+def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, ...]:
+    """Both shadings' Goeritz data for a connected diagram, as dense
+    matrices: the audit view of the rows that reports eliminate."""
+    if not is_connected(d):
+        raise DisconnectedDiagram("Goeritz form needs a connected diagram")
     out = []
-    for shading, root in enumerate(classes):
-        verts = [v for v in vertices if class_of[v] == root]
-        index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        g = [[0] * n for _ in range(n)]
-        correction = 0
-        for a, b, weight, crossing_sign in edges:
-            if class_of[a] != root:
-                continue
-            if weight == crossing_sign:
-                correction += weight
-            if a == b:
-                continue
-            i, j = index[a], index[b]
-            g[i][j] += weight
-            g[j][i] += weight
-            g[i][i] -= weight
-            g[j][j] -= weight
-        reduced = [row[1:] for row in g[1:]]
-        out.append(GoeritzData(tuple(tuple(r) for r in reduced), correction, shading))
+    for shading, (faces, edges) in enumerate(_shadings(d)):
+        rows, correction = _goeritz_rows(edges, faces)
+        matrix = tuple(tuple(rows[f].get(h, 0) for h in faces[1:]) for f in faces[1:])
+        out.append(GoeritzData(matrix, correction, shading))
     return tuple(out)
 
 
 def _goeritz_invariants(d: LinkDiagram) -> tuple[int, int]:
-    """(sigma, det) of a connected diagram from one congruence pass over
-    each shading's Goeritz form; the shadings must agree on both."""
-    if not d.crossings:
-        if not is_connected(d):
-            raise DisconnectedDiagram("signature needs a connected diagram")
-        return 0, 1
-    values = []
-    for gd in goeritz_data(d):
-        pos, neg, det = congruence_eliminate(gd.matrix)
-        values.append((-(pos - neg + gd.correction), abs(det)))
-    (sigma, det), (sigma1, det1) = values
-    if sigma != sigma1:
-        raise InternalInvariantError(
-            f"shadings disagree on the signature: {[sigma, sigma1]}")
-    if det != det1:
-        raise InternalInvariantError(
-            f"shadings disagree on |det|: {[det, det1]}")
+    """(sigma, det) of a diagram, summed and multiplied over its pieces:
+    each piece's shading with fewer faces (the first on a tie) is
+    eliminated once, and crossing-free loops add (0, 1)."""
+    chosen = {}
+    piece_of, face_corners = d.piece_of, d.face_corners
+    for faces, edges in _shadings(d):
+        piece = piece_of[face_corners[faces[0]][0] >> 2]
+        if piece not in chosen or len(faces) < len(chosen[piece][0]):
+            chosen[piece] = faces, edges
+    sigma, det = 0, 1
+    for faces, edges in chosen.values():
+        rows, correction = _goeritz_rows(edges, faces)
+        pos, neg, piece_det = congruence_rows(rows)
+        sigma -= pos - neg + correction
+        det *= abs(piece_det)
     return sigma, det
 
 
 def signature_gl(d: LinkDiagram) -> int:
-    """Link signature via the Goeritz form and its crossing-type
-    correction; computed from both shadings, which must agree."""
+    """Link signature of a connected diagram via the Goeritz form of one
+    shading and its crossing-type correction (the tests audit the other
+    shading)."""
+    if not is_connected(d):
+        raise DisconnectedDiagram("signature needs a connected diagram")
     return _goeritz_invariants(d)[0]
 
 
@@ -152,12 +157,8 @@ def determinant_goeritz(d: LinkDiagram) -> int:
     """|det| of the Goeritz matrix by dense Bareiss elimination; equals
     the link determinant and checks ``determinant`` and report
     determinants independently of the congruence kernel."""
-    if not d.crossings:
-        if not is_connected(d):
-            raise DisconnectedDiagram("determinant needs a connected diagram")
-        return 1
-    gd = goeritz_data(d)[0]
-    return abs(det_int([list(r) for r in gd.matrix]))
+    gd = goeritz_data(d)  # empty for a crossing-free loop
+    return abs(det_int([list(r) for r in gd[0].matrix])) if gd else 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,43 +312,20 @@ class ObstructionReport(NamedTuple):
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def split_pieces(d: LinkDiagram) -> list[LinkDiagram]:
-    """Connected pieces of a diagram as stand-alone diagrams, loops
-    last, each in canonical form."""
-    from .linkdiag import _Builder, _thaw
-
-    out = []
-    for piece in d.pieces:
-        # the crossings of other pieces count as removed
-        b = _thaw(d)
-        b.loops = 0
-        b.signs = [sign if c in piece else 0 for c, sign in enumerate(b.signs)]
-        out.append(b.freeze())
-    out += [_Builder(loops=1).freeze() for _ in range(d.loops)]
-    return out
-
-
 def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionReport:
     """Full invariant and verdict report; disconnected diagrams are
     combined per piece (sigma additive, det multiplicative) and flagged."""
     label = name if name is not None else (d.name or "")
     ell = d.num_components
     verdicts: list[Verdict] = []
+    sigma, det = _goeritz_invariants(d)
     if is_connected(d):
-        sigma, det = _goeritz_invariants(d)
         tau = _tau(ell, sigma) if is_alternating(d) else None
     else:
-        pieces = split_pieces(d)
-        sigma = 0
-        det = 1
-        for p in pieces:
-            piece_sigma, piece_det = _goeritz_invariants(p)
-            sigma += piece_sigma
-            det *= piece_det
         tau = None
         verdicts.append(Verdict(
             f"split diagram: sigma summed and det multiplied over "
-            f"{len(pieces)} pieces",
+            f"{len(d.pieces) + d.loops} pieces",
             "split-combination",
             "sigma additive and det multiplicative under split union "
             "(a split link's own determinant vanishes)"))

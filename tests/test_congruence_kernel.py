@@ -5,6 +5,9 @@ lazy per-row level.  The reference below is the earlier kernel, which
 did every pivot step in ``Fraction``s, kept verbatim the way
 ``test_flat_core`` keeps the dict-based diagram code; the library must
 give the same (pos, neg, det) on every matrix, Goeritz forms included.
+Each integer matrix also goes to the integer core ``congruence_rows``
+as sparse rows keyed by scattered ints, the way reports key Goeritz
+rows by face id, and must give the same.
 """
 
 import heapq
@@ -15,7 +18,13 @@ import pytest
 
 from conftest import base_seed
 from tracekit import linkdiag as ld
-from tracekit.exactlinalg import congruence_eliminate, det_int, identity, mat_mul
+from tracekit.exactlinalg import (
+    congruence_eliminate,
+    congruence_rows,
+    det_int,
+    identity,
+    mat_mul,
+)
 from tracekit.invariants import goeritz_data
 
 
@@ -148,11 +157,21 @@ def braid_closures(rng, count, min_crossings, max_crossings):
     return out
 
 
+def scattered(i):
+    """Row i's key for ``congruence_rows``: distinct, out of order and
+    with gaps."""
+    return i * 7919 % 10007 - 5000
+
+
 def assert_matches_reference(m):
     got = congruence_eliminate(m)
     want = ref_congruence_eliminate(m)
     assert got == want
     assert type(got[2]) is type(want[2])
+    if all(type(x) is int for row in m for x in row):
+        rows = {scattered(i): {scattered(j): x for j, x in enumerate(row) if x}
+                for i, row in enumerate(m)}
+        assert congruence_rows(rows) == got
     return got
 
 
@@ -203,6 +222,14 @@ def test_zero_diagonal_hyperbolic_after_pivots(rng):
         assert_matches_reference(m)
     for _ in range(100):
         assert_matches_reference(cancelling_pair(rng, rng.randrange(2, 20), 50))
+    # an all-zero diagonal with empty rows: hyperbolic steps only
+    for _ in range(50):
+        n = rng.randrange(2, 20)
+        m = random_symmetric(rng, n, rng.random(), 50, zero_diagonal=True)
+        for i in rng.sample(range(n), rng.randrange(1, n)):
+            for k in range(n):
+                m[i][k] = m[k][i] = 0
+        assert_matches_reference(m)
 
 
 def test_singular(rng):

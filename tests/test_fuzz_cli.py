@@ -5,13 +5,16 @@ input/precondition error: no traceback, and exit code 0, 2 or 3.  The
 inputs are PD JSON and PD text of at most 6 crossings, some of them
 valid braid closures and some perturbed or random, with random loop
 counts, framings, dotted lists, ``--bands`` values and ``trace
---partition`` values.  Sizes stay small
+--partition`` values.  An unperturbed braid closure sometimes gets a
+partition of its own components with framings that meet every block's
+law, so a ``trace --partition`` run can succeed.  Sizes stay small
 because reports grow quadratically with the component count.  The run is
 seeded from TRACEKIT_SEED.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import base_seed
 from tracekit import cli
 from tracekit import linkdiag as ld
+from tracekit.errors import TracekitError
 
 MAX_CROSSINGS = 6
 COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
@@ -29,8 +33,9 @@ COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
 
 @st.composite
 def pd_rows(draw):
-    """A list of PD 4-tuples: a braid closure, perhaps with one entry
-    changed, or random edge ids."""
+    """(a list of PD 4-tuples, whether it is an unperturbed braid
+    closure): a braid closure, perhaps with one entry changed, or random
+    edge ids."""
     n = draw(st.integers(0, MAX_CROSSINGS))
     if draw(st.booleans()):
         strands = draw(st.integers(2, 4))
@@ -41,9 +46,10 @@ def pd_rows(draw):
         if rows and draw(st.booleans()):
             i = draw(st.integers(0, len(rows) - 1))
             rows[i][draw(st.integers(0, 3))] = draw(st.integers(0, 2 * n + 1))
-        return rows
+            return rows, False
+        return rows, True
     edge = st.integers(0, 2 * n + 1)
-    return draw(st.lists(st.lists(edge, min_size=3, max_size=5), max_size=n))
+    return draw(st.lists(st.lists(edge, min_size=3, max_size=5), max_size=n)), False
 
 
 arcs = st.one_of(st.integers(0, 14),
@@ -69,9 +75,28 @@ partitions = st.one_of(
 
 
 @st.composite
+def law_partitions(draw, d):
+    """(``--partition``, ``--framings``) values: a weighted partition of
+    the components of ``d`` and framings that meet each block's law,
+    sum of t_i = -2 lk(block)."""
+    n = d.num_components
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    lkm = ld.linking_matrix(d)
+    framings = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    for block in blocks:
+        need = -2 * sum(lkm[i][j] for i, j in itertools.combinations(block, 2))
+        framings[block[-1]] = need - sum(framings[i] for i in block[:-1])
+    spec = "|".join(f"{','.join(str(i + 1) for i in b)}:g={draw(st.integers(0, 2))}"
+                    for b in blocks)
+    return spec, ",".join(map(str, framings))
+
+
+@st.composite
 def inputs(draw):
     """(file name, file text, extra command-line options)."""
-    rows = draw(pd_rows())
+    rows, closure = draw(pd_rows())
     loops = draw(st.integers(-2, 3))
     if draw(st.booleans()):
         data = {"pd": rows, "loops": loops}
@@ -85,6 +110,13 @@ def inputs(draw):
         name, text = "link.txt", ", ".join(tuples + ["O"] * max(loops, 0))
     opts = {"--framings": draw(cli_framings), "--bands": draw(bands),
             "--partition": draw(partitions)}
+    if closure and draw(st.integers(0, 3)):
+        try:
+            d = ld.loads(text)[0] if name == "link.json" else ld.parse_pd(text)
+        except TracekitError:  # negative loops or an empty diagram
+            d = None
+        if d is not None:
+            opts["--partition"], opts["--framings"] = draw(law_partitions(d))
     return name, text, opts
 
 
