@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .errors import (
     BadBands,
     BadComponentIndex,
-    IllegalSite,
     InputError,
     InternalInvariantError,
     InvalidBlockFraming,
@@ -39,9 +38,7 @@ from .linkdiag import (
     Arc,
     BandSpec,
     LinkDiagram,
-    _after,
     _band_merge_builder,
-    _end_face,
     _reflect,
     _same_piece,
     linking_matrix,
@@ -330,69 +327,6 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     return None
 
 
-def _transport_push(d: LinkDiagram, comps: set[int]):
-    """Push an arc of one requested component across the diagram toward
-    another, by one honest R2 move; returns (diagram, edge map).
-
-    Used when the components share no face with coherently matched
-    orientations: each push moves an arc one face closer (faces adjacent
-    across the edge being crossed), and a final push over the target arc
-    itself creates a coherent site inside the clasp."""
-    from .linkdiag import _r2_insert_mapped
-
-    ec = d.edge_component
-    source = min(c for c in comps if c < len(d.components))
-    targets = {c for c in comps if c != source and c < len(d.components)}
-    # the walk of a face enters the edge at the slot after each corner
-    step_edges = _after(d.corner_edges)
-    face_edges = [{step_edges[x] for x in f} for f in d.face_corners]
-    # edge -> the faces on its two sides; the BFS reads them in any order,
-    # since one of the two is always the face being expanded
-    face_of = d.face_of
-    edge_faces: dict[int, list[int]] = {}
-    for z, e in enumerate(d.corner_edges):
-        edge_faces.setdefault(e, []).append(_end_face(face_of, z))
-    dist = [None] * len(face_edges)
-    via: list[int | None] = [None] * len(face_edges)
-    frontier = []
-    for i, es in enumerate(face_edges):
-        if any(ec[e] in targets for e in es):
-            dist[i] = 0
-            frontier.append(i)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for e in face_edges[i]:
-                for j in edge_faces[e]:
-                    if dist[j] is None:
-                        dist[j] = dist[i] + 1
-                        via[j] = e
-                        nxt.append(j)
-        frontier = nxt
-    candidates = []
-    for i, es in enumerate(face_edges):
-        if dist[i] is None:
-            continue
-        for e in sorted(es):
-            if ec[e] != source:
-                continue
-            if dist[i] == 0:
-                for x in sorted(es):
-                    if ec[x] in targets:
-                        candidates.append((0, i, e, x))
-                        break
-            else:
-                candidates.append((dist[i], i, e, via[i]))
-    for _, _, e, x in sorted(candidates):
-        if e == x:
-            continue
-        try:
-            return _r2_insert_mapped(d, e, x)
-        except IllegalSite:
-            continue
-    raise BadBands(f"components {sorted(comps)} cannot be band-connected")
-
-
 def _knotify_step(d: LinkDiagram, band: BandSpec):
     """One band merge plus clasping circle, built in one builder and
     frozen once.  Returns (diagram, circle edge id, merged-component
@@ -415,11 +349,16 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
 
 
 def _knotify_all(d: LinkDiagram):
-    """Band every component of the diagram into one knot, pushing an arc
-    across with R2 moves while no band fits, and clasp every band with a
-    0-framed surgery circle.  Returns (diagram, circle edges).  The
-    components still open are those that carry no circle, so only the
-    circle edges are remapped after each move."""
+    """Band every component into one knot, clasping each band with a
+    0-framed surgery circle; returns (diagram, circle edges).
+
+    Open components (those with no circle) always have a direct band:
+    a loop bands to any other one, and ones in different pieces are
+    joined.  In one piece, deleting the circles leaves the open
+    components connected, since a circle crosses only the band it clasps
+    and later bands add no crossings; so two open components cross, and
+    the corners between one's incoming and the other's outgoing half meet
+    both with equal parity, a bucket ``_direct_band`` reads."""
     circles: list[int] = []
 
     def open_comps():
@@ -427,15 +366,9 @@ def _knotify_all(d: LinkDiagram):
         return set(range(d.num_components)) - {ec[e] for e in circles}
 
     while len(comps := open_comps()) > 1:
-        for _ in range(4 * len(d.crossings) + 12):
-            band = _direct_band(d, comps)
-            if band is not None:
-                break
-            d, push_map = _transport_push(d, comps)
-            circles = [push_map[e] for e in circles]
-            comps = open_comps()
-        else:
-            raise BadBands(f"band transport did not converge for {sorted(comps)}")
+        band = _direct_band(d, comps)
+        if band is None:
+            raise InternalInvariantError(f"no direct band between components {sorted(comps)}")
         d, circle_edge, _, step_map, _ = _knotify_step(d, band)
         circles = [step_map[e] for e in circles] + [circle_edge]
     return d, circles
@@ -479,10 +412,8 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
     circle_comps = sorted(ec[e] for e in circle_edges)
     if len(set(circle_comps)) != ell - 1:
         raise InternalInvariantError("wrong number of surgery circles")
-    knot_candidates = [i for i in range(cur.num_components) if i not in circle_comps]
-    if len(knot_candidates) != 1:
-        raise BadBands("bands do not merge the link to one component")
-    knot = knot_candidates[0]
+    # each step merges two components and adds a circle: one knot is left
+    [knot] = [i for i in range(cur.num_components) if i not in circle_comps]
     winding = tuple(linking_number(cur, knot, j) for j in circle_comps)
     if any(winding):
         raise InternalInvariantError(f"knotified circle is not null-homologous: {winding}")
@@ -641,8 +572,7 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
 # ---------------------------------------------------------------------------
 
 def trace_json(h: HandleDecomposition,
-               boundary: tuple[int, tuple[int, ...]] | None = None,
-               verdicts: tuple[TraceVerdict, ...] = ()) -> str:
+               boundary: tuple[int, tuple[int, ...]] | None = None) -> str:
     out = {
         "construction": h.provenance,
         "handles": list(h.handles),
@@ -655,6 +585,6 @@ def trace_json(h: HandleDecomposition,
             {"rank": boundary[0], "torsion": list(boundary[1])}
             if boundary is not None else None
         ),
-        "verdicts": [v.as_dict() for v in verdicts],
+        "verdicts": [],
     }
     return json.dumps(out, sort_keys=True)

@@ -6,10 +6,80 @@ the linking matrix, and this loop is kept here as the audit's
 reference, the way ``ref_builder`` keeps the old builder.  It calls the
 surgery steps through the ``traces`` module, so a test that patches one
 of them reaches this loop too.
+
+``transport_push``, the R2 face transport that ``traces.knotify`` ran
+before a direct band was shown always to fit, lives here too: a block
+whose components never cross has no direct band, so this loop still
+pushes arcs.  The loop calls it through this module's globals, and it
+calls ``linkdiag._r2_insert_mapped`` through its module, so a patch of
+either reaches it.
 """
 
+from tracekit import linkdiag as ld
 from tracekit import traces as tr
-from tracekit.errors import BadBands, InternalInvariantError
+from tracekit.errors import BadBands, IllegalSite, InternalInvariantError
+from tracekit.linkdiag import LinkDiagram, _after, _end_face
+
+
+def transport_push(d: LinkDiagram, comps: set[int]):
+    """Push an arc of one requested component across the diagram toward
+    another, by one honest R2 move; returns (diagram, edge map).
+
+    Used when the components share no face with coherently matched
+    orientations: each push moves an arc one face closer (faces adjacent
+    across the edge being crossed), and a final push over the target arc
+    itself creates a coherent site inside the clasp."""
+    ec = d.edge_component
+    source = min(c for c in comps if c < len(d.components))
+    targets = {c for c in comps if c != source and c < len(d.components)}
+    # the walk of a face enters the edge at the slot after each corner
+    step_edges = _after(d.corner_edges)
+    face_edges = [{step_edges[x] for x in f} for f in d.face_corners]
+    # edge -> the faces on its two sides; the BFS reads them in any order,
+    # since one of the two is always the face being expanded
+    face_of = d.face_of
+    edge_faces: dict[int, list[int]] = {}
+    for z, e in enumerate(d.corner_edges):
+        edge_faces.setdefault(e, []).append(_end_face(face_of, z))
+    dist = [None] * len(face_edges)
+    via: list[int | None] = [None] * len(face_edges)
+    frontier = []
+    for i, es in enumerate(face_edges):
+        if any(ec[e] in targets for e in es):
+            dist[i] = 0
+            frontier.append(i)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for e in face_edges[i]:
+                for j in edge_faces[e]:
+                    if dist[j] is None:
+                        dist[j] = dist[i] + 1
+                        via[j] = e
+                        nxt.append(j)
+        frontier = nxt
+    candidates = []
+    for i, es in enumerate(face_edges):
+        if dist[i] is None:
+            continue
+        for e in sorted(es):
+            if ec[e] != source:
+                continue
+            if dist[i] == 0:
+                for x in sorted(es):
+                    if ec[x] in targets:
+                        candidates.append((0, i, e, x))
+                        break
+            else:
+                candidates.append((dist[i], i, e, via[i]))
+    for _, _, e, x in sorted(candidates):
+        if e == x:
+            continue
+        try:
+            return ld._r2_insert_mapped(d, e, x)
+        except IllegalSite:
+            continue
+    raise BadBands(f"components {sorted(comps)} cannot be band-connected")
 
 
 def knotify_blocks(d, blocks):
@@ -43,7 +113,7 @@ def knotify_blocks(d, blocks):
                 band = tr._direct_band(d, comps)
                 if band is not None:
                     break
-                d, push_map = tr._transport_push(d, comps)
+                d, push_map = transport_push(d, comps)
                 remap(push_map)
                 comps = candidates(bi)
             else:

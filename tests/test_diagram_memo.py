@@ -100,14 +100,18 @@ def test_seed1_surgery_pass_freezes_once_per_band_and_clasp_step(monkeypatch, tm
     122 freezes off the 373 of two builds per step, and the 26
     ``trace --partition`` items stopped freezing (251 before) when
     high-order traces were read from the linking matrix instead of
-    knotifying every block."""
+    knotifying every block.  Knotify always finds a direct band, so the
+    pass makes no R2 push."""
     items = bench_corpus.build("surgery", GOLDEN_SEED)
-    calls = {"freeze": 0}
+    calls = {"freeze": 0, "_r2_insert_mapped": 0}
     monkeypatch.setattr(ld._Builder, "freeze",
                         _counting(calls, "freeze", ld._Builder.freeze))
+    monkeypatch.setattr(ld, "_r2_insert_mapped",
+                        _counting(calls, "_r2_insert_mapped", ld._r2_insert_mapped))
     for k, item in enumerate(items):
         assert run_item(item, tmp_path / f"item{k}")[0] == 0
     assert calls["freeze"] == 184
+    assert calls["_r2_insert_mapped"] == 0
 
 
 def test_memo_is_never_mutated(corpus):

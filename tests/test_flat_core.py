@@ -7,7 +7,9 @@ implementations over dicts of (crossing, slot) tuples, kept here the way
 same faces, pieces, walk parities, face sides and direct bands, and the
 same errors for edges used other than twice.  The ``edge_faces`` index
 over the face walks, which face queries read before they went to the
-corners, is kept too, with the transport push that read it.
+corners, is kept too, with the transport push that read it; it is
+checked against ``ref_blocks.transport_push``, the corner-indexed push
+that the block audit keeps since knotify stopped pushing arcs.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import random
 
 import pytest
 
+import ref_blocks
 from conftest import base_seed, random_connected_diagram
 from test_face_chirality import _corpus as chirality_corpus
 from tracekit import linkdiag as ld
@@ -138,7 +141,7 @@ def ref_indexed_face_sides(places, a, b):
 
 
 def ref_transport_push(d, comps):
-    """``traces._transport_push`` with its BFS reading ``ref_edge_faces``."""
+    """``ref_blocks.transport_push`` with its BFS reading ``ref_edge_faces``."""
     ec = d.edge_component
     source = min(c for c in comps if c < len(d.components))
     targets = {c for c in comps if c != source and c < len(d.components)}
@@ -340,7 +343,7 @@ def test_transport_push_matches_the_indexed_bfs(diagrams):
         for k in range(2, len(comps) + 1):
             for subset in itertools.islice(itertools.combinations(comps, k), 3):
                 subset = set(subset)
-                got = _push_outcome(tr._transport_push, d, subset)
+                got = _push_outcome(ref_blocks.transport_push, d, subset)
                 assert got == _push_outcome(ref_transport_push, d, subset)
                 checked += not isinstance(got, str)
     assert checked > 200

@@ -7,7 +7,8 @@ valid braid closures and some perturbed or random, with random loop
 counts, framings, dotted lists, ``--bands`` values and ``trace
 --partition`` values.  An unperturbed braid closure sometimes gets a
 partition of its own components with framings that meet every block's
-law, so a ``trace --partition`` run can succeed.  Sizes stay small
+law, so a ``trace --partition`` run can succeed; its word then uses
+every generator, so those runs see crossings.  Sizes stay small
 because reports grow quadratically with the component count.  The run is
 seeded from TRACEKIT_SEED.
 """
@@ -32,16 +33,24 @@ COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
 
 
 @st.composite
-def pd_rows(draw):
+def pd_rows(draw, every_generator=False):
     """(a list of PD 4-tuples, whether it is an unperturbed braid
     closure): a braid closure, perhaps with one entry changed, or random
-    edge ids."""
+    edge ids.  With ``every_generator`` the closure word uses each of its
+    at most 3 generators, so the diagram has crossings."""
     n = draw(st.integers(0, MAX_CROSSINGS))
     if draw(st.booleans()):
         strands = draw(st.integers(2, 4))
         letters = st.integers(1, strands - 1).flatmap(
             lambda i: st.sampled_from([i, -i]))
-        word = draw(st.lists(letters, max_size=n))
+        if every_generator:
+            word = draw(st.lists(letters, min_size=strands - 1,
+                                 max_size=max(n, strands - 1)))
+            word[:strands - 1] = [i * draw(st.sampled_from([1, -1]))
+                                  for i in range(1, strands)]
+            word = draw(st.permutations(word))
+        else:
+            word = draw(st.lists(letters, max_size=n))
         rows = [list(c.edges) for c in ld.from_braid(word, strands).crossings]
         if rows and draw(st.booleans()):
             i = draw(st.integers(0, len(rows) - 1))
@@ -96,7 +105,8 @@ def law_partitions(draw, d):
 @st.composite
 def inputs(draw):
     """(file name, file text, extra command-line options)."""
-    rows, closure = draw(pd_rows())
+    law = draw(st.integers(0, 3)) > 0
+    rows, closure = draw(pd_rows(every_generator=law))
     loops = draw(st.integers(-2, 3))
     if draw(st.booleans()):
         data = {"pd": rows, "loops": loops}
@@ -110,7 +120,7 @@ def inputs(draw):
         name, text = "link.txt", ", ".join(tuples + ["O"] * max(loops, 0))
     opts = {"--framings": draw(cli_framings), "--bands": draw(bands),
             "--partition": draw(partitions)}
-    if closure and draw(st.integers(0, 3)):
+    if closure and law:
         try:
             d = ld.loads(text)[0] if name == "link.json" else ld.parse_pd(text)
         except TracekitError:  # negative loops or an empty diagram

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
 
+import ref_blocks
 from conftest import random_connected_diagram
 from ref_blocks import knotify_blocks
+from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.errors import (
@@ -26,7 +30,7 @@ def framed(name, param, framings):
     return tr.FramedLink(ld.catalog(name, param), tuple(framings))
 
 
-# -- band transport -----------------------------------------------------------------
+# -- band transport and direct bands ------------------------------------------------
 
 def _failing_push(error):
     def push(d, over, under):
@@ -37,7 +41,7 @@ def _failing_push(error):
 def test_transport_push_skips_illegal_sites(monkeypatch):
     monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(IllegalSite))
     with pytest.raises(BadBands):
-        tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
+        ref_blocks.transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
 @pytest.mark.parametrize("error", [InternalInvariantError, MalformedPD])
@@ -46,7 +50,7 @@ def test_transport_push_propagates_internal_errors(monkeypatch, error):
     # from a push is a bug too
     monkeypatch.setattr(ld, "_r2_insert_mapped", _failing_push(error))
     with pytest.raises(error):
-        tr._transport_push(ld.catalog("hopf", "+"), {0, 1})
+        ref_blocks.transport_push(ld.catalog("hopf", "+"), {0, 1})
 
 
 def _stuck_push(pushes):
@@ -58,26 +62,53 @@ def _stuck_push(pushes):
 
 
 def test_high_order_transport_stops_at_its_bound(monkeypatch):
-    """The audit's block knotification gives up where knotify does."""
+    """The audit's block knotification gives up where knotify used to."""
     d = ld.from_braid([1, 1, 2, 2], 3)  # components 0 and 2 never cross
     assert tr._direct_band(d, {0, 2}) is None
     pushes = []
-    monkeypatch.setattr(tr, "_transport_push", _stuck_push(pushes))
+    monkeypatch.setattr(ref_blocks, "transport_push", _stuck_push(pushes))
     with pytest.raises(BadBands, match="did not converge"):
         knotify_blocks(d, [(0, 2), (1,)])
     assert pushes == [len(d.crossings)] * (4 * len(d.crossings) + 12)
 
 
-def test_knotify_transport_stops_at_its_bound(monkeypatch):
-    # a connected diagram always has a band at a crossing of two
-    # components, so only a missing band makes knotify push arcs
-    d = ld.catalog("hopf", "+")
-    pushes = []
+def test_knotify_without_a_direct_band_is_a_bug(monkeypatch):
+    # a direct band always fits (see ``_knotify_all``), so none is exit 4
     monkeypatch.setattr(tr, "_direct_band", lambda d, comps: None)
-    monkeypatch.setattr(tr, "_transport_push", _stuck_push(pushes))
-    with pytest.raises(BadBands, match="did not converge"):
-        tr.knotify(tr.FramedLink(d, (0, 0)))
-    assert len(pushes) == 4 * len(d.crossings) + 12
+    with pytest.raises(InternalInvariantError, match="no direct band"):
+        tr.knotify(tr.FramedLink(ld.catalog("hopf", "+"), (0, 0)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["knotify", "--catalog", "hopf:+"]) == 4
+
+
+def _lemma_corpus(rng):
+    """Seeded diagrams for the direct-band lemma: conftest's connected
+    diagrams and braid closures on 2-7 strands of up to 80 letters,
+    which may be split or carry loops."""
+    for _ in range(300):
+        yield random_connected_diagram(rng, 40)
+    for _ in range(300):
+        strands = rng.randrange(2, 8)
+        word = [rng.choice([1, -1]) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(0, 81))]
+        yield ld.from_braid(word, strands)
+
+
+def test_components_that_cross_have_a_direct_band(rng):
+    """The lemma behind ``_knotify_all``: two components that share a
+    crossing meet with equal parity at two of its corners, so
+    ``_direct_band`` finds a coherent band between them."""
+    pairs = 0
+    for d in _lemma_corpus(rng):
+        ec = d.edge_component
+        crossing_pairs = {tuple(sorted({ec[e] for e in c.edges})) for c in d.crossings}
+        for pair in sorted(p for p in crossing_pairs if len(p) == 2):
+            band = tr._direct_band(d, set(pair))
+            assert band is not None, (d, pair)
+            assert {ec[band.arc_a], ec[band.arc_b]} == set(pair), (d, pair, band)
+            ld.band_merge(d, band)
+            pairs += 1
+    assert pairs > 550, pairs
 
 
 # -- zero traces ------------------------------------------------------------------
