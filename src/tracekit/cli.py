@@ -162,7 +162,7 @@ def _render(args, data: dict) -> str:
 
 def _cmd_parse(args) -> int:
     d, framings, _ = _load_link(args)
-    _emit(args, json.dumps(linkdiag.to_json_dict(d, framings), sort_keys=True))
+    _emit(args, _render(args, linkdiag.to_json_dict(d, framings)))
     return EXIT_OK
 
 
@@ -251,10 +251,9 @@ def _cmd_check_schoenflies(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.name is not None:
         d = _load_catalog(args.name)
-        _emit(args, json.dumps(linkdiag.to_json_dict(d), sort_keys=True))
+        _emit(args, _render(args, linkdiag.to_json_dict(d)))
     else:
-        _emit(args, json.dumps({"entries": list(linkdiag.CATALOG_NAMES)},
-                               sort_keys=True))
+        _emit(args, _render(args, {"entries": list(linkdiag.CATALOG_NAMES)}))
     return EXIT_OK
 
 

@@ -196,7 +196,7 @@ class KnotifiedLink(NamedTuple):
 # elementary constructions
 # ---------------------------------------------------------------------------
 
-def zero_trace(link: FramedLink, provenance: str = "trace") -> HandleDecomposition:
+def zero_trace(link: FramedLink) -> HandleDecomposition:
     """2-handles on the 4-ball along the framed link: Q carries framings
     on the diagonal and linking numbers off it."""
     ell = link.components
@@ -207,7 +207,7 @@ def zero_trace(link: FramedLink, provenance: str = "trace") -> HandleDecompositi
         (1, 0, ell, 0, 0),
         tuple(tuple(row) for row in q),
         (),
-        provenance,
+        "trace",
     )
 
 
@@ -271,23 +271,18 @@ def _clasp_across(b, conn_a: Arc, conn_b: Arc, mirrored: bool) -> tuple[int, lis
     return _clasp(b, first, second, mirrored), first
 
 
-def _arc_current(arc: Arc, emap: dict[int, int], nloops: int) -> Arc:
-    """Resolve a band arc against the evolving diagram: edge ids map
-    through the accumulated edge map; loop indices (loops being
-    interchangeable crossing-free circles) address the current count."""
-    if isinstance(arc, tuple):
-        kind, idx = arc
-        if kind != "loop" or not 0 <= idx < nloops:
-            raise BadBands(f"band references missing loop {arc}")
-        return arc
-    if arc not in emap:
-        raise BadBands(f"band references missing edge {arc}")
-    return emap[arc]
-
-
 def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     """Lexicographically first coherent untwisted band between distinct
-    components of ``comps``, when one exists without moving any arcs."""
+    components of ``comps``, when one exists without moving any arcs.
+
+    Between two or more of knotify's open components (those with no
+    circle) one always exists: a loop bands to any other one, and ones in
+    different pieces are joined.  In one piece, deleting the circles
+    leaves the open components connected, since a circle crosses only
+    the band it clasps and later bands add no crossings; so two open
+    components cross, and the corners between one's incoming and the
+    other's outgoing half meet both with equal parity, a bucket read
+    here."""
     ec = d.edge_component
     n_edge_comps = len(d.components)
     # corner y is the entry (its edge, corner_out[y]) of the walk of face
@@ -331,7 +326,7 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
     """One band merge plus clasping circle, built in one builder and
     frozen once.  Returns (diagram, circle edge id, merged-component
     representative edge, old-edge map, loops consumed); the map covers
-    the edges that existed before the clasp."""
+    every edge that existed before the clasp, so every edge of ``d``."""
     b, (conn_a, conn_b), left = _band_merge_builder(d, band)
     # The clasp sits in the band's strip face, which lies opposite the
     # face the band crossed.  For arcs in one piece that is the only
@@ -348,30 +343,18 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
     return final, b.last_edge_map[circle], b.last_edge_map[knot], emap, d.loops - final.loops
 
 
-def _knotify_all(d: LinkDiagram):
-    """Band every component into one knot, clasping each band with a
-    0-framed surgery circle; returns (diagram, circle edges).
-
-    Open components (those with no circle) always have a direct band:
-    a loop bands to any other one, and ones in different pieces are
-    joined.  In one piece, deleting the circles leaves the open
-    components connected, since a circle crosses only the band it clasps
-    and later bands add no crossings; so two open components cross, and
-    the corners between one's incoming and the other's outgoing half meet
-    both with equal parity, a bucket ``_direct_band`` reads."""
-    circles: list[int] = []
-
-    def open_comps():
-        ec = d.edge_component
-        return set(range(d.num_components)) - {ec[e] for e in circles}
-
-    while len(comps := open_comps()) > 1:
-        band = _direct_band(d, comps)
-        if band is None:
-            raise InternalInvariantError(f"no direct band between components {sorted(comps)}")
-        d, circle_edge, _, step_map, _ = _knotify_step(d, band)
-        circles = [step_map[e] for e in circles] + [circle_edge]
-    return d, circles
+def _resolve(arc: Arc, d: LinkDiagram, maps: list[dict[int, int]]) -> Arc:
+    """A ``--bands`` arc in the current diagram: an edge id of the input
+    diagram ``d`` goes through the edge map of every step so far (each
+    edge survives a step as its tail half); a loop arc, loops being
+    interchangeable, passes unchanged."""
+    if isinstance(arc, tuple):
+        return arc
+    if arc not in d.edge_component:
+        raise BadBands(f"band references missing edge {arc}")
+    for step_map in maps:
+        arc = step_map[arc]
+    return arc
 
 
 def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedLink:
@@ -380,34 +363,32 @@ def knotify(link: FramedLink, bands: list[BandSpec] | None = None) -> KnotifiedL
 
     The knot framing is sum(t_i) + 2 lk(L); the winding vector over the
     surgery circles is computed from the final diagram and must vanish.
-    Band arcs are read against the evolving diagram (original edge ids
-    persist through merges as their tail halves)."""
+    Without ``bands``, each step takes ``_direct_band`` between the open
+    components, and a refused one is a bug; given bands are read with
+    ``_resolve``, and a refused one is ``BadBands``."""
     d = link.diagram
     ell = link.components
-    if bands is None:
-        cur, circle_edges = _knotify_all(d)
-    elif len(bands) != ell - 1:
+    if bands is not None and len(bands) != ell - 1:
         raise BadBands(f"need {ell - 1} bands, got {len(bands)}")
-    else:
-        emap = {e: e for e in d.edges}
-        circle_edges: list[int] = []
-        cur = d
-        for band in bands:
+    cur, circle_edges, maps = d, [], []
+    for k in range(ell - 1):
+        if bands is None:
             ec = cur.edge_component
-            taken = {ec[e] for e in circle_edges}
-            arc_a = _arc_current(band.arc_a, emap, cur.loops)
-            arc_b = _arc_current(band.arc_b, emap, cur.loops)
-            for arc in (arc_a, arc_b):
-                if not isinstance(arc, tuple) and ec[arc] in taken:
-                    raise BadBands("band touches a surgery circle")
-            band = BandSpec(arc_a, arc_b, band.framing, band.coherent)
-            try:
-                cur, circle_edge, _, step_map, _ = _knotify_step(cur, band)
-            except (SameComponent, OrientationConflict, BadComponentIndex) as exc:
-                raise BadBands(str(exc)) from exc
-            emap = {e: step_map[v] for e, v in emap.items() if v in step_map}
-            circle_edges = [step_map[e] for e in circle_edges]
-            circle_edges.append(circle_edge)
+            comps = set(range(cur.num_components)) - {ec[e] for e in circle_edges}
+            band = _direct_band(cur, comps)
+            if band is None:
+                raise InternalInvariantError(f"no direct band between components {sorted(comps)}")
+        else:
+            band = bands[k]
+            band = BandSpec(_resolve(band.arc_a, d, maps), _resolve(band.arc_b, d, maps),
+                            band.framing, band.coherent)
+        try:
+            cur, circle_edge, _, step_map, _ = _knotify_step(cur, band)
+        except (SameComponent, OrientationConflict, BadComponentIndex) as exc:
+            refusal = BadBands if bands is not None else InternalInvariantError
+            raise refusal(str(exc)) from exc
+        maps.append(step_map)
+        circle_edges = [step_map[e] for e in circle_edges] + [circle_edge]
     ec = cur.edge_component
     circle_comps = sorted(ec[e] for e in circle_edges)
     if len(set(circle_comps)) != ell - 1:
@@ -431,8 +412,7 @@ def _block_law(lkm: list[list[int]], block: Sequence[int]) -> int:
     return -2 * sum(lkm[i][j] for i in block for j in block if i < j)
 
 
-def high_order_trace(link: FramedLink, partition: WeightedPartition,
-                     provenance: str = "high_order_trace") -> HandleDecomposition:
+def high_order_trace(link: FramedLink, partition: WeightedPartition) -> HandleDecomposition:
     """Attach one planar handle along each block (via its knotification)
     and add the genus weights as extra 1-handle pairs.
 
@@ -456,7 +436,7 @@ def high_order_trace(link: FramedLink, partition: WeightedPartition,
     q = tuple(tuple(0 if a == b else sum(lkm[i][j] for i in blocks[a] for j in blocks[b])
                     for b in range(k)) for a in range(k))
     h1 = sum(2 * g + len(b) - 1 for g, b in zip(part.weights, blocks))
-    return HandleDecomposition((1, h1, k, 0, 0), q, ((0,) * k,) * h1, provenance)
+    return HandleDecomposition((1, h1, k, 0, 0), q, ((0,) * k,) * h1, "high_order_trace")
 
 
 def surface_partition(d: LinkDiagram, pieces) -> tuple[WeightedPartition, tuple]:

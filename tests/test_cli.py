@@ -248,6 +248,14 @@ def test_table_format(capsys):
     assert code == 0
     assert "sigma: 0" in out
     assert "det: 5" in out
+    # parse and catalog list their JSON fields too
+    for argv, line in [(["parse", "--catalog", "hopf:+"], "loops: 0"),
+                       (["catalog", "hopf:+"], "loops: 0"),
+                       (["catalog"], "entries: ")]:
+        code, out = run(capsys, *argv, "--format", "table")
+        assert code == 0 and line in out, argv
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
 
 
 def test_knotify_explicit_bands_flag(capsys):

@@ -7,9 +7,7 @@ implementations over dicts of (crossing, slot) tuples, kept here the way
 same faces, pieces, walk parities, face sides and direct bands, and the
 same errors for edges used other than twice.  The ``edge_faces`` index
 over the face walks, which face queries read before they went to the
-corners, is kept too, with the transport push that read it; it is
-checked against ``ref_blocks.transport_push``, the corner-indexed push
-that the block audit keeps since knotify stopped pushing arcs.
+corners, is kept too, and checked against the corner-local face sides.
 """
 
 import itertools
@@ -18,14 +16,11 @@ import random
 
 import pytest
 
-import ref_blocks
 from conftest import base_seed, random_connected_diagram
 from test_face_chirality import _corpus as chirality_corpus
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.errors import (
-    BadBands,
-    IllegalSite,
     InconsistentEdges,
     InternalInvariantError,
     MalformedPD,
@@ -138,54 +133,6 @@ def ref_edge_faces(d):
 
 def ref_indexed_face_sides(places, a, b):
     return {(pa, pb) for fa, pa in places[a] for fb, pb in places[b] if fa == fb}
-
-
-def ref_transport_push(d, comps):
-    """``ref_blocks.transport_push`` with its BFS reading ``ref_edge_faces``."""
-    ec = d.edge_component
-    source = min(c for c in comps if c < len(d.components))
-    targets = {c for c in comps if c != source and c < len(d.components)}
-    face_edges = [{e for e, _ in walk} for walk in ld.face_edge_parities(d)]
-    edge_faces = ref_edge_faces(d)
-    dist = [None] * len(face_edges)
-    via = [None] * len(face_edges)
-    frontier = []
-    for i, es in enumerate(face_edges):
-        if any(ec[e] in targets for e in es):
-            dist[i] = 0
-            frontier.append(i)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for e in face_edges[i]:
-                for j, _ in edge_faces[e]:
-                    if dist[j] is None:
-                        dist[j] = dist[i] + 1
-                        via[j] = e
-                        nxt.append(j)
-        frontier = nxt
-    candidates = []
-    for i, es in enumerate(face_edges):
-        if dist[i] is None:
-            continue
-        for e in sorted(es):
-            if ec[e] != source:
-                continue
-            if dist[i] == 0:
-                for x in sorted(es):
-                    if ec[x] in targets:
-                        candidates.append((0, i, e, x))
-                        break
-            else:
-                candidates.append((dist[i], i, e, via[i]))
-    for _, _, e, x in sorted(candidates):
-        if e == x:
-            continue
-        try:
-            return ld._r2_insert_mapped(d, e, x)
-        except IllegalSite:
-            continue
-    raise BadBands(f"components {sorted(comps)} cannot be band-connected")
 
 
 def ref_same_piece(d, a, b):
@@ -327,26 +274,6 @@ def test_freeze_partner_is_the_edge_pairing():
     assert len(frozen) > 400
     for d in frozen:
         assert d.__dict__["partner"] == ld._pair_corners(d.corner_edges)
-
-
-def _push_outcome(push, d, comps):
-    try:
-        return push(d, comps)
-    except BadBands as exc:
-        return str(exc)
-
-
-def test_transport_push_matches_the_indexed_bfs(diagrams):
-    checked = 0
-    for d in diagrams:
-        comps = range(len(d.components))
-        for k in range(2, len(comps) + 1):
-            for subset in itertools.islice(itertools.combinations(comps, k), 3):
-                subset = set(subset)
-                got = _push_outcome(ref_blocks.transport_push, d, subset)
-                assert got == _push_outcome(ref_transport_push, d, subset)
-                checked += not isinstance(got, str)
-    assert checked > 200
 
 
 def test_direct_band_matches_all_pairs_scan(diagrams):

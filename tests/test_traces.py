@@ -73,9 +73,21 @@ def test_high_order_transport_stops_at_its_bound(monkeypatch):
 
 
 def test_knotify_without_a_direct_band_is_a_bug(monkeypatch):
-    # a direct band always fits (see ``_knotify_all``), so none is exit 4
+    # a direct band always fits (see ``_direct_band``), so none is exit 4
     monkeypatch.setattr(tr, "_direct_band", lambda d, comps: None)
     with pytest.raises(InternalInvariantError, match="no direct band"):
+        tr.knotify(tr.FramedLink(ld.catalog("hopf", "+"), (0, 0)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["knotify", "--catalog", "hopf:+"]) == 4
+
+
+@pytest.mark.parametrize("band", [ld.BandSpec(1, 2), ld.BandSpec(1, 4, 1)])
+def test_knotify_refused_automatic_band_is_a_bug(monkeypatch, band):
+    # the merge accepts every direct band, so a refused one (here on one
+    # component, and with a half-twist no face admits) is exit 4, where a
+    # refused ``--bands`` band is exit 3
+    monkeypatch.setattr(tr, "_direct_band", lambda d, comps: band)
+    with pytest.raises(InternalInvariantError):
         tr.knotify(tr.FramedLink(ld.catalog("hopf", "+"), (0, 0)))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["knotify", "--catalog", "hopf:+"]) == 4
@@ -95,8 +107,8 @@ def _lemma_corpus(rng):
 
 
 def test_components_that_cross_have_a_direct_band(rng):
-    """The lemma behind ``_knotify_all``: two components that share a
-    crossing meet with equal parity at two of its corners, so
+    """The lemma in ``_direct_band``'s docstring: two components that
+    share a crossing meet with equal parity at two of its corners, so
     ``_direct_band`` finds a coherent band between them."""
     pairs = 0
     for d in _lemma_corpus(rng):
