@@ -162,6 +162,8 @@ def _render(args, data: dict) -> str:
 
 def _cmd_parse(args) -> int:
     d, framings, _ = _load_link(args)
+    if framings is not None:
+        traces.FramedLink(d, tuple(framings))  # one framing per component
     _emit(args, _render(args, linkdiag.to_json_dict(d, framings)))
     return EXIT_OK
 

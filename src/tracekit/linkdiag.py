@@ -20,6 +20,7 @@ import json
 import re
 from collections import Counter, namedtuple
 from functools import cached_property
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -60,7 +61,9 @@ class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
     it is no field, so equality, hashing and serialization, which read
     the tuple, ignore it, and it goes away with the diagram.  ``freeze``
     fills ``corner_edges`` and ``partner`` from its component walk; a
-    diagram built directly computes them on first use.
+    diagram built directly computes them on first use.  Either way the
+    pieces are unions of components, joined at every crossing between
+    two, so they need ``edge_component`` and no corner search.
 
     The memo numbers corner (c, s) as the int 4c+s, so crossing i must
     have id i."""
@@ -140,11 +143,12 @@ class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
         n = self.num_components
         twice = [[0] * n for _ in range(n)]
         ec = self.edge_component
-        for c in self.crossings:
-            i, j = ec[c.edges[0]], ec[c.edges[c.over_in_slot]]
+        # slots 0 and 1 carry the under- and the over-strand
+        for _, (under, over, _, _), sign in self.crossings:
+            i, j = ec[under], ec[over]
             if i != j:
-                twice[i][j] += c.sign
-                twice[j][i] += c.sign
+                twice[i][j] += sign
+                twice[j][i] += sign
         if any(x % 2 for row in twice for x in row):
             raise InternalInvariantError("odd inter-component crossing sum")
         return tuple(tuple(x // 2 for x in row) for row in twice)
@@ -356,65 +360,70 @@ class _Builder:
             raise InconsistentEdges(f"edge {e} end {end} used {k} times")
         # a strand entering at corner x leaves at x ^ 2, which the sign
         # makes a tail, so every walk flows through; an edge missing its
-        # tail is never walked into, so its walk meets one with no head
-        seen = [False] * n
-        comps = []
+        # tail is never walked into, so its walk meets one with no head.
+        # The walk numbers edges consecutively along components and
+        # crossings in order of first touch, and pairs corners: an edge's
+        # tail is the corner opposite the previous edge's head.
+        edge_map = [0] * n  # old edge -> new id, 0 until walked
+        new_id = [-1] * len(signs)
+        order: list[int] = []  # old crossing ids in order of new id
+        walk: list[int] = []  # old edges in order of new id
+        bounds = [1]  # each component's first new edge id, then one past the last
+        partner = [0] * (2 * ends)  # four corners per live crossing
+        nxt = 1
         for start, x in enumerate(heads):
-            if x < 0 or seen[start]:
+            if x < 0 or edge_map[start]:
                 continue
-            cyc = []
             e = start
-            while not seen[e]:
+            t = -1
+            while not edge_map[e]:
                 x = heads[e]
                 if x < 0:
                     raise InternalInvariantError("edge with missing end")
-                seen[e] = True
-                cyc.append(e)
+                edge_map[e] = nxt
+                nxt += 1
+                walk.append(e)
+                c = x >> 2
+                i = new_id[c]
+                if i < 0:
+                    i = new_id[c] = len(order)
+                    order.append(c)
+                h = 4 * i + (x & 3)
+                if t < 0:
+                    h0 = h
+                else:
+                    partner[h] = t
+                    partner[t] = h
+                t = h ^ 2
                 e = edges[x ^ 2]
             if e != start:
                 raise InternalInvariantError("component walk did not close")
-            comps.append(cyc)
-        # canonical renumbering: edges consecutively along components,
-        # crossings in order of first touch.  A two-edge component lying
-        # entirely over other strands is the one case a bare PD code
-        # cannot orient by the numbering convention alone; rotate its
-        # numbering so that the lower edge's head sits at the lower
-        # crossing id, which is what parsing assumes for the tie-break.
-        edge_map = [0] * n
-        new_id = [-1] * len(signs)
-        order: list[int] = []  # old crossing ids in order of new id
-        nxt = 1
-        for k, cyc in enumerate(comps):
-            if len(cyc) == 2 and all(heads[e] & tails[e] & 1 for e in cyc):
-                first, second = cyc
-                c_head = new_id[heads[first] >> 2]
-                c_tail = new_id[heads[second] >> 2]
-                if c_tail >= 0 and (c_head < 0 or c_head > c_tail):
-                    comps[k] = cyc = [second, first]
-            for e in cyc:
-                edge_map[e] = nxt
-                nxt += 1
-                c = heads[e] >> 2
-                if new_id[c] < 0:
-                    new_id[c] = len(order)
-                    order.append(c)
+            partner[h0] = t
+            partner[t] = h0
+            # A two-edge component lying entirely over other strands is
+            # the one case a bare PD code cannot orient by the numbering
+            # convention alone; swap its two ids if that puts the lower
+            # id's head at the lower crossing id, which is what parsing
+            # assumes for the tie-break.  The crossing order stays: the
+            # lower crossing was touched before the component.
+            if nxt - bounds[-1] == 2 and all(heads[e] & tails[e] & 1 for e in walk[-2:]):
+                first, second = walk[-2:]
+                if new_id[heads[first] >> 2] > new_id[heads[second] >> 2]:
+                    walk[-2:] = second, first
+                    edge_map[first], edge_map[second] = nxt - 1, nxt - 2
+            bounds.append(nxt)
         # every live crossing is the head of its under-in edge, so order
-        # holds them all
-        corner_edges = [edge_map[edges[x]] for c in order for x in range(4 * c, 4 * c + 4)]
-        crossings = tuple(Crossing(i, tuple(corner_edges[4 * i:4 * i + 4]), signs[c])
-                          for i, c in enumerate(order))
-        components = tuple(tuple(edge_map[e] for e in cyc) for cyc in comps)
-        self.last_edge_map = {e: edge_map[e] for cyc in comps for e in cyc}
+        # holds them all.  Crossing's generated __new__ checks nothing, so
+        # tuple.__new__ builds the crossings in C, with no Python frame
+        # per crossing
+        renamed = list(zip(*[iter(map(edge_map.__getitem__, edges))] * 4))
+        quads = list(map(renamed.__getitem__, order))
+        corner_edges = list(chain.from_iterable(quads))
+        crossings = tuple(map(tuple.__new__, repeat(Crossing),
+                              zip(range(len(order)), quads, map(signs.__getitem__, order))))
+        components = tuple(map(tuple, map(range, bounds[:-1], bounds[1:])))
+        self.last_edge_map = dict(zip(walk, range(1, nxt)))
         diagram = LinkDiagram(crossings, components, self.loops, self.name)
-        # the walk found each edge's head and tail, which pair its corners
-        partner = [0] * len(corner_edges)
-        for cyc in comps:
-            for e in cyc:
-                h, t = heads[e], tails[e]
-                x = 4 * new_id[h >> 2] + (h & 3)
-                y = 4 * new_id[t >> 2] + (t & 3)
-                partner[x] = y
-                partner[y] = x
         diagram.__dict__["corner_edges"] = corner_edges
         diagram.__dict__["partner"] = partner
         _validate_planarity(diagram)
@@ -430,25 +439,28 @@ def _thaw(d: LinkDiagram) -> _Builder:
 
 
 def _pieces(d: LinkDiagram) -> list[set[int]]:
-    """Connected pieces of the 4-valent graph, as sets of crossing ids."""
-    partner = d.partner
-    seen = [False] * len(d.crossings)
-    pieces = []
-    for start in range(len(d.crossings)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        piece = set()
-        while stack:
-            c = stack.pop()
-            piece.add(c)
-            for y in partner[4 * c:4 * c + 4]:
-                if not seen[y >> 2]:
-                    seen[y >> 2] = True
-                    stack.append(y >> 2)
-        pieces.append(piece)
-    return pieces
+    """Connected pieces of the 4-valent graph, as sets of crossing ids in
+    order of least crossing id.  Both strands at a crossing lie in its
+    piece, so a piece is a union of components: join each crossing's
+    under-strand component (slot 0) with its over-strand one (slot 1)."""
+    ec = d.edge_component
+    corners = d.corner_edges
+    under = list(map(ec.__getitem__, corners[0::4]))
+    root = list(range(len(d.components)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for u, o in set(zip(under, map(ec.__getitem__, corners[1::4]))):
+        root[find(u)] = find(o)
+    label = list(map([find(i) for i in root].__getitem__, under))
+    # dict keys keep the order of each label's least crossing
+    firsts = dict.fromkeys(label)
+    if len(firsts) < 2:
+        return [set(range(len(label)))] if label else []
+    return [set(compress(range(len(label)), map(r.__eq__, label))) for r in firsts]
 
 
 def is_connected(d: LinkDiagram) -> bool:
@@ -588,7 +600,7 @@ def assemble_pd(
     numbers: the way with more steps e -> e + 1, the walk's on a tie."""
     if nloops < 0:
         raise MalformedPD(f"loops must be non-negative, got {nloops}")
-    edges = [e for t in tuples for e in t]
+    edges = list(chain.from_iterable(tuples))
     partner = _pair_corners(edges)
     # the first corner of each edge, in order of edge id
     firsts = sorted((x for x, y in enumerate(partner) if x < y), key=edges.__getitem__)
@@ -615,8 +627,8 @@ def assemble_pd(
 
     # the builder indexes edges by id, so renumber them 1..m in the same
     # order, which keeps freeze's component order and walk starts
-    rank = {edges[x]: i for i, x in enumerate(firsts, 1)}
-    flat = [rank[e] for e in edges]
+    rank = dict(zip(map(edges.__getitem__, firsts), count(1)))
+    flat = list(map(rank.__getitem__, edges))
     signs = []
     for c in range(0, len(flat), 4):
         if head[c]:

@@ -286,16 +286,19 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     ec = d.edge_component
     n_edge_comps = len(d.components)
     # corner y is the entry (its edge, corner_out[y]) of the walk of face
-    # _end_face(face_of, y): bucket the entries by face and parity, and
-    # keep each bucket's least edge, its component, and its least edge on
-    # another component
-    face_of, out = d.face_of, d.corner_out
+    # _end_face(face_of, y), the face at the corner before it, read here
+    # from a copy of face_of shifted by one slot: bucket the entries by
+    # face and parity, and keep each bucket's least edge, its component,
+    # and its least edge on another component
+    face_of = d.face_of
+    face_before = face_of[-1:] + face_of[:-1]
+    face_before[0::4] = face_of[3::4]
     none = len(d.corner_edges)  # above every edge id
     least, least_comp, other = ([none] * (2 * len(d.face_corners)) for _ in range(3))
-    for y, e in enumerate(d.corner_edges):
+    for e, f, out in zip(d.corner_edges, face_before, d.corner_out):
         c = ec[e]
         if c in comps:
-            k = 2 * face_of[y - 1 if y & 3 else y + 3] + out[y]
+            k = 2 * f + out
             if e < least[k]:
                 if c != least_comp[k]:
                     other[k] = least[k]

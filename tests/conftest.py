@@ -23,10 +23,14 @@ def rng() -> random.Random:
 
 
 def random_braid_diagram(rng: random.Random, max_crossings: int = 8):
-    """A connected braid-closure diagram with at most max_crossings."""
+    """A connected braid-closure diagram with at most max_crossings.
+    Budgets up to 8 draw words of at most 6 letters, as they always
+    have, so the tests that use them keep their diagrams; larger budgets
+    draw words of up to max_crossings letters."""
+    top = min(7, max_crossings + 1) if max_crossings <= 8 else max_crossings + 1
     while True:
         strands = rng.randrange(2, 5)
-        length = rng.randrange(1, min(7, max_crossings + 1))
+        length = rng.randrange(1, top)
         word = [rng.choice([1, -1]) * rng.randrange(1, strands)
                 for _ in range(length)]
         if {abs(x) for x in word} != set(range(1, strands)):

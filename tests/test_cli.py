@@ -156,6 +156,18 @@ def test_negative_loops_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "trace", "knotify", "check-sphere"])
+def test_json_framings_must_fit_the_components(tmp_path, capsys, command):
+    """``parse`` refuses framings that fit no component count the way
+    every framed command does, instead of echoing them."""
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps({"pd": [[1, 3, 2, 4], [3, 1, 4, 2]], "framings": [1, 2, 3]}))
+    assert cli.main([command, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "precondition violated: 3 framings for 2 components\n"
+
+
 def test_batch_isolation_and_order(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     entries = [

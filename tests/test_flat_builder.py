@@ -5,8 +5,9 @@ a sign per crossing, with each slot's end read off the sign.  The
 reference in ``ref_builder`` stored (edge, end) slots.  Every freeze the
 surgery, move, sublink and braid corpora make is checked against the
 reference freeze of the same state: the same diagram and edge map, or
-the same error.  Thawing, splitting and smoothing must give the same
-slots as the reference primitives.
+the same error, with the pieces and corner pairing of the reference
+readers.  Thawing, splitting and smoothing must give the same slots as
+the reference primitives.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from conftest import base_seed, random_connected_diagram, random_moves
 from ref_builder import from_flat, ref_thaw, slots_of
 from test_diagram_memo import _exercise
 from test_face_chirality import _corpus, _edge_pairs
+from test_flat_core import ref_pieces
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
 from tracekit.errors import MalformedPD, TracekitError
@@ -48,6 +50,8 @@ def checked(monkeypatch):
             raise
         assert (d, self.last_edge_map) == want
         assert d.__dict__["corner_edges"] == [e for c in d.crossings for e in c.edges]
+        assert d.pieces == ref_pieces(d)
+        assert d.partner == ld._pair_corners(d.corner_edges)
         outcomes.append(d)
         return d
 
@@ -129,6 +133,52 @@ def test_move_sublink_and_braid_freezes_match(checked):
                 for _ in range(rng.randrange(0, 30))]
         ld.from_braid(word, strands)
     assert len(checked) > 2000
+
+
+def _split_braids(rng, count):
+    """(closure, blocks, loops): braids of 50-200 letters on 2-4 blocks
+    of 2-3 strands side by side, each block braided on all of its
+    generators, so each closes into one piece; about half have a
+    crossing-free loop from an untouched strand between two blocks or
+    after the last."""
+    out = []
+    for _ in range(count):
+        blocks = rng.randrange(2, 5)
+        gens, strand, loops = [], 0, 0
+        loop_after = rng.randrange(2 * blocks)  # no loop unless below blocks
+        for k in range(blocks):
+            width = rng.randrange(2, 4)
+            gens.append(range(strand + 1, strand + width))
+            strand += width
+            if k == loop_after:
+                strand += 1
+                loops += 1
+        word = [g for block in gens for g in block]
+        word += [rng.choice(rng.choice(gens)) for _ in range(rng.randrange(50, 201) - len(word))]
+        rng.shuffle(word)
+        word = [rng.choice([1, -1]) * g for g in word]
+        out.append((ld.from_braid(word, strand), blocks, loops))
+    return out
+
+
+def test_split_braid_pieces_match(checked):
+    """Large split closures, their mirrors, reversals and sublinks, and
+    directly built copies whose components come in reverse order: the
+    union over components must find the pieces the corner adjacency
+    finds."""
+    rng = random.Random(base_seed() + 15)
+    split = _split_braids(rng, 16)
+    assert sum(loops > 0 for _, _, loops in split) >= 4
+    for d, blocks, loops in split:
+        assert (len(d.pieces), d.loops) == (blocks, loops)
+        assert 50 <= len(d.crossings) <= 200
+        ld.mirror(d)
+        ld.reverse_component(d, rng.randrange(len(d.components)))
+        ld.sublink(d, rng.sample(range(d.num_components), d.num_components // 2 + 1))
+    assert len(checked) == 4 * len(split)
+    for d in [d for d, _, _ in split] + _diagrams():
+        direct = ld.LinkDiagram(d.crossings, d.components[::-1], d.loops, d.name)
+        assert ld._pieces(direct) == ref_pieces(direct) == d.pieces
 
 
 def test_thaw_split_and_smooth_match_the_tuple_slots():

@@ -150,7 +150,7 @@ def split_diagrams(rng, count):
 
 def test_split_reports_combine_the_frozen_pieces(monkeypatch):
     rng = random.Random(base_seed() + 17)
-    diagrams = split_diagrams(rng, 150)
+    diagrams = split_diagrams(rng, 160)
     wants = []
     for d in diagrams:
         sigma, det = 0, 1
