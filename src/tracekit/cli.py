@@ -1,8 +1,13 @@
 """Command-line front end: JSON-first reports over the library.
 
+Every command is one pipeline: a ``_cmd_*`` function computes its report
+as a dict and writes nothing, and ``main`` alone renders it (``--format``),
+writes it (``--out`` or stdout) and picks the exit code.
+
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 4 internal invariant breach or any exception from outside the library's
-error hierarchy (always a bug).  Malformed input includes a usage error,
+error bands (always a bug); each band's class in ``errors`` carries its
+exit code and stderr prefix.  Malformed input includes a usage error,
 an option given an empty value (``--framings ""``, ``--partition ""``,
 ``--bands ""``, ``--catalog ""``, ``--out ""``) and an ``--out`` path that
 cannot be written.  Identical inputs produce byte-identical reports;
@@ -25,14 +30,9 @@ import json
 import sys
 
 from . import linkdiag, traces
-from .errors import InputError, InternalInvariantError, MalformedPD, PreconditionError
+from .errors import BANDS, InputError, InternalInvariantError, MalformedPD
 from .invariants import obstruction_report
 from .linkdiag import BandSpec, LinkDiagram, catalog, json_int, parse_pd
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_PRECONDITION = 3
-EXIT_INTERNAL = 4
 
 
 def _load_catalog(entry: str) -> LinkDiagram:
@@ -76,12 +76,15 @@ def _parse_framings(text: str) -> tuple[int, ...]:
         raise InputError(f"bad framings {text!r}") from exc
 
 
-def _framings(args, diagram: LinkDiagram, json_framings) -> tuple[int, ...]:
+def _load_framed(args) -> traces.FramedLink:
+    """The input link framed by ``--framings``, else by its JSON
+    framings, else by 0 on every component."""
+    d, framings, _ = _load_link(args)
     if args.framings is not None:
-        return _parse_framings(args.framings)
-    if json_framings is not None:
-        return tuple(json_framings)
-    return tuple([0] * diagram.num_components)
+        framings = _parse_framings(args.framings)
+    if framings is None:
+        framings = [0] * d.num_components
+    return traces.FramedLink(d, tuple(framings))
 
 
 def _parse_partition(text: str, components: int) -> traces.WeightedPartition:
@@ -123,8 +126,10 @@ def _parse_bands(text: str) -> list[BandSpec]:
     return out
 
 
-def _emit(args, payload: str):
-    payload = payload + "\n"
+def _emit(args, report: dict):
+    """Render ``report`` in ``--format`` and write it to ``--out`` or stdout."""
+    payload = (_as_table(report) if args.format == "table"
+               else json.dumps(report, sort_keys=True)) + "\n"
     if args.out is None:
         sys.stdout.write(payload)
         return
@@ -152,51 +157,33 @@ def _as_table(data: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _render(args, data: dict) -> str:
-    if args.format == "table":
-        return _as_table(data)
-    return json.dumps(data, sort_keys=True)
-
-
 # -- commands ----------------------------------------------------------------
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> dict:
     d, framings, _ = _load_link(args)
     if framings is not None:
         traces.FramedLink(d, tuple(framings))  # one framing per component
-    _emit(args, _render(args, linkdiag.to_json_dict(d, framings)))
-    return EXIT_OK
+    return linkdiag.to_json_dict(d, framings)
 
 
-def _cmd_invariants(args) -> int:
-    d, _, _ = _load_link(args)
-    report = obstruction_report(d)
-    _emit(args, _render(args, report.as_dict()))
-    return EXIT_OK
+def _cmd_invariants(args) -> dict:
+    return obstruction_report(_load_link(args)[0]).as_dict()
 
 
-def _cmd_trace(args) -> int:
-    d, json_framings, _ = _load_link(args)
-    link = traces.FramedLink(d, _framings(args, d, json_framings))
+def _cmd_trace(args) -> dict:
+    link = _load_framed(args)
     if args.partition is not None:
-        part = _parse_partition(args.partition, d.num_components)
-        h = traces.high_order_trace(link, part)
-        payload = traces.trace_json(h)
-    else:
-        h = traces.zero_trace(link)
-        payload = traces.trace_json(h, boundary=traces._h1_of(h))
-    if args.format == "table":
-        payload = _as_table(json.loads(payload))
-    _emit(args, payload)
-    return EXIT_OK
+        part = _parse_partition(args.partition, link.components)
+        return traces.trace_dict(traces.high_order_trace(link, part))
+    h = traces.zero_trace(link)
+    return traces.trace_dict(h, boundary=traces._h1_of(h))
 
 
-def _cmd_knotify(args) -> int:
-    d, json_framings, _ = _load_link(args)
-    link = traces.FramedLink(d, _framings(args, d, json_framings))
+def _cmd_knotify(args) -> dict:
+    link = _load_framed(args)
     bands = _parse_bands(args.bands) if args.bands is not None else None
     kn = traces.knotify(link, bands)
-    data = {
+    return {
         "construction": "knotify",
         "surgery_circles": kn.surgery_circles,
         "framing": kn.framing,
@@ -206,27 +193,22 @@ def _cmd_knotify(args) -> int:
         "dotted_components": list(kn.mixed.dotted),
         "knot_component": kn.knot_component,
     }
-    _emit(args, _render(args, data))
-    return EXIT_OK
 
 
-def _cmd_check_sphere(args) -> int:
-    d, json_framings, _ = _load_link(args)
-    link = traces.FramedLink(d, _framings(args, d, json_framings))
+def _cmd_check_sphere(args) -> dict:
+    link = _load_framed(args)
     trace = traces.zero_trace(link)
     rank, torsion = traces._h1_of(trace)
     verdict = traces._sphere_verdict(link, trace, (rank, torsion))
-    data = {
+    return {
         "construction": "homotopy-sphere-candidate",
         "verdict": verdict.as_dict(),
         "handles": list(trace.handles),
         "boundary_h1": {"rank": rank, "torsion": list(torsion)},
     }
-    _emit(args, _render(args, data))
-    return EXIT_OK
 
 
-def _cmd_check_schoenflies(args) -> int:
+def _cmd_check_schoenflies(args) -> dict:
     d, framings, data = _load_link(args)
     try:
         dotted = tuple(json_int(x, "dotted index") for x in data.get("dotted", ()))
@@ -239,27 +221,22 @@ def _cmd_check_schoenflies(args) -> int:
         framings = [0] * n_attach
     mixed = traces.MixedLink(d, dotted, tuple(framings))
     verdict = traces.schoenflies_candidate(mixed)
-    data = {
+    return {
         "construction": "schoenflies-candidate",
         "dotted": list(dotted),
         "attaching": list(mixed.attaching),
         "W": mixed.winding_matrix(),
         "verdict": verdict.as_dict(),
     }
-    _emit(args, _render(args, data))
-    return EXIT_OK
 
 
-def _cmd_catalog(args) -> int:
-    if args.name is not None:
-        d = _load_catalog(args.name)
-        _emit(args, _render(args, linkdiag.to_json_dict(d)))
-    else:
-        _emit(args, _render(args, {"entries": list(linkdiag.CATALOG_NAMES)}))
-    return EXIT_OK
+def _cmd_catalog(args) -> dict:
+    if args.name is None:
+        return {"entries": list(linkdiag.CATALOG_NAMES)}
+    return linkdiag.to_json_dict(_load_catalog(args.name))
 
 
-def _cmd_batch(args) -> int:
+def _cmd_batch(args) -> dict:
     try:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.loads(fh.read())
@@ -268,11 +245,11 @@ def _cmd_batch(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"bad manifest JSON: {exc}") from exc
     if isinstance(manifest, dict):
-        manifest = manifest.get("entries", [])
+        manifest = manifest.get("entries")  # an object without them is malformed
     if not isinstance(manifest, list):
         raise InputError("manifest must be a list of entries")
     rows = []
-    by_band = {"input": 0, "precondition": 0, "internal": 0}
+    by_band = {cls.band: 0 for cls in BANDS}
     for entry in manifest:
         label = (entry.get("catalog") or entry.get("file") or "?"
                  if isinstance(entry, dict) else "?")
@@ -281,24 +258,19 @@ def _cmd_batch(args) -> int:
             rows.append({"entry": str(label), "ok": True,
                          "report": report.as_dict()})
         except Exception as exc:  # noqa: BLE001  - isolate per-entry failures
-            band = _error_band(exc)
-            if band == "internal":
+            # anything outside the input and precondition bands is a bug
+            band = exc.band if isinstance(exc, BANDS) else InternalInvariantError.band
+            if band == InternalInvariantError.band:
                 import traceback  # only a bug needs it; it slows start-up
                 traceback.print_exc()  # a bug: keep where it happened
             by_band[band] += 1
             rows.append({"entry": str(label), "ok": False,
                          "error": f"{type(exc).__name__}: {exc}"})
-    data = {
+    return {
         "rows": rows,
         "summary": {"entries": len(rows), "failed": sum(by_band.values()),
                     "by_band": by_band},
     }
-    _emit(args, _render(args, data))
-    if by_band["internal"]:
-        print(f"internal invariant breach in {by_band['internal']} batch rows",
-              file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
 
 
 def _load_entry(entry) -> LinkDiagram:
@@ -312,16 +284,6 @@ def _load_entry(entry) -> LinkDiagram:
     return _read_link(path)[0]
 
 
-def _error_band(exc: Exception) -> str:
-    """The exit band of a failed batch row; anything outside the input
-    and precondition bands is a bug."""
-    if isinstance(exc, InputError):
-        return "input"
-    if isinstance(exc, PreconditionError):
-        return "precondition"
-    return "internal"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracekit",
@@ -330,13 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p, out_help=None):
+        p.add_argument("--out", help=out_help)
+        p.add_argument("--format", choices=("json", "table"), default="json")
+
     def add_common(p, with_framings=True):
         p.add_argument("input", nargs="?", help="link JSON or PD text file")
         p.add_argument("--catalog", help="catalog entry name[:param]")
         if with_framings:
             p.add_argument("--framings", help="comma-separated integers")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        add_output(p, "write the report here instead of stdout")
 
     p = sub.add_parser("parse", help="parse and canonicalize a diagram")
     add_common(p, with_framings=False)
@@ -367,14 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list catalog entries or emit one")
     p.add_argument("name", nargs="?", help="entry name[:param]")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    add_output(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("batch", help="run invariant reports over a manifest")
     p.add_argument("manifest")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    add_output(p)
     p.set_defaults(func=_cmd_batch)
 
     return parser
@@ -393,21 +356,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InternalInvariantError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        report = args.func(args)
+        _emit(args, report)
+    except BANDS as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001  - anything else is a bug
         import traceback  # only a bug needs it; it slows start-up
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return InternalInvariantError.exit_code
+    if args.command == "batch":
+        breaches = report["summary"]["by_band"][InternalInvariantError.band]
+        if breaches:
+            print(f"{InternalInvariantError.prefix} in {breaches} batch rows",
+                  file=sys.stderr)
+            return InternalInvariantError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

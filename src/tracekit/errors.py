@@ -3,7 +3,10 @@
 Errors are split into three bands that the CLI maps onto exit codes:
 input/format problems (exit 2), precondition violations on otherwise
 well-formed values (exit 3), and internal invariant breaches (exit 4,
-always a bug).
+always a bug).  Each band's class carries that mapping, read by
+``cli.main`` and by ``batch``: ``exit_code``, the stderr ``prefix`` and
+the ``band`` name a batch summary counts it under.  ``BANDS`` lists
+them; any other exception, ``TracekitError`` itself included, is a bug.
 """
 
 
@@ -14,13 +17,22 @@ class TracekitError(Exception):
 class InputError(TracekitError):
     """Malformed input text, JSON, or files."""
 
+    exit_code, prefix, band = 2, "input error", "input"
+
 
 class PreconditionError(TracekitError):
     """A well-formed value violates an operation's precondition."""
 
+    exit_code, prefix, band = 3, "precondition violated", "precondition"
+
 
 class InternalInvariantError(TracekitError):
     """An internal consistency check failed; always a bug."""
+
+    exit_code, prefix, band = 4, "internal invariant breach", "internal"
+
+
+BANDS = (InputError, PreconditionError, InternalInvariantError)
 
 
 # -- parsing / construction ------------------------------------------------

@@ -600,6 +600,8 @@ def assemble_pd(
     numbers: the way with more steps e -> e + 1, the walk's on a tie."""
     if nloops < 0:
         raise MalformedPD(f"loops must be non-negative, got {nloops}")
+    if nloops > CATALOG_MAX_SIZE:
+        raise MalformedPD(f"{nloops} loops; link diagrams are limited to {CATALOG_MAX_SIZE}")
     edges = list(chain.from_iterable(tuples))
     partner = _pair_corners(edges)
     # the first corner of each edge, in order of edge id
@@ -1088,7 +1090,8 @@ def _int_param(name: str, param) -> int:
 
 # the most crossings plus loops a catalog diagram may have; larger
 # parameters are refused before anything is built.  It also bounds a
-# band's twist crossings and a weighted partition's 2g genus 1-handles.
+# band's twist crossings, a weighted partition's 2g genus 1-handles and
+# the loops of any diagram read from PD text or link JSON.
 CATALOG_MAX_SIZE = 10_000
 
 

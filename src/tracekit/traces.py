@@ -52,7 +52,7 @@ __all__ = [
     "KnotifiedLink", "TraceVerdict", "smith_normal_form", "zero_trace",
     "boundary_h1", "planar_framing_valid", "knotify",
     "high_order_trace", "surface_partition", "homotopy_sphere_candidate",
-    "schoenflies_candidate", "framed_mirror", "trace_json",
+    "schoenflies_candidate", "framed_mirror", "trace_json", "trace_dict",
 ]
 
 
@@ -556,7 +556,12 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
 
 def trace_json(h: HandleDecomposition,
                boundary: tuple[int, tuple[int, ...]] | None = None) -> str:
-    out = {
+    return json.dumps(trace_dict(h, boundary), sort_keys=True)
+
+
+def trace_dict(h: HandleDecomposition,
+               boundary: tuple[int, tuple[int, ...]] | None = None) -> dict:
+    return {
         "construction": h.provenance,
         "handles": list(h.handles),
         "Q": [list(r) for r in h.q],
@@ -570,4 +575,3 @@ def trace_json(h: HandleDecomposition,
         ),
         "verdicts": [],
     }
-    return json.dumps(out, sort_keys=True)

@@ -11,7 +11,7 @@ import pytest
 from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit import traces
-from tracekit.errors import InputError, InternalInvariantError
+from tracekit.errors import InputError, InternalInvariantError, PreconditionError, TracekitError
 from tracekit.exactlinalg import congruence_eliminate
 
 
@@ -245,6 +245,24 @@ def test_batch_unreadable_manifest(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("manifest, code", [
+    ({}, 2), ({"entrys": [{"catalog": "hopf:+"}]}, 2), ({"entries": 5}, 2), (7, 2),
+    ({"entries": []}, 0), ([], 0),
+])
+def test_batch_manifest_is_a_list_or_holds_one(tmp_path, capsys, manifest, code):
+    """A manifest object without an ``entries`` list is malformed, not
+    an empty batch."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["batch", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err == "input error: manifest must be a list of entries\n"
+    else:
+        assert json.loads(out)["summary"]["entries"] == 0
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "invariants", "--catalog", "figure8",
@@ -361,6 +379,30 @@ def test_oversized_genus_and_twists_are_refused_before_building(monkeypatch, cap
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert f"limited to {ld.CATALOG_MAX_SIZE}" in err
+
+
+@pytest.mark.parametrize("form", ["json", "pd-text"])
+def test_link_file_loops_are_bounded_like_the_catalog(tmp_path, monkeypatch, capsys, form):
+    """A link file's loops count is refused past the catalog bound before
+    a corner is paired; the bound itself is still admitted."""
+    def link_file(loops):
+        path = tmp_path / f"{loops}.{form}"
+        path.write_text(json.dumps({"pd": [], "loops": loops}) if form == "json"
+                        else ", ".join(["O"] * loops))
+        return str(path)
+
+    n = ld.CATALOG_MAX_SIZE
+    assert run(capsys, "parse", link_file(n))[0] == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the loops bound let a diagram be built")
+
+    monkeypatch.setattr(ld, "_pair_corners", unreachable)
+    monkeypatch.setattr(ld, "_Builder", unreachable)
+    code = cli.main(["parse", link_file(n + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"input error: {n + 1} loops; link diagrams are limited to {n}\n"
 
 
 def test_largest_admitted_genus_still_traces(capsys):
@@ -566,6 +608,65 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert out == ""
     assert f"input error: cannot write {target}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
+    argv = _argv(tmp_path, BASE_ARGV[command]) + ["--format", fmt]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+    target = tmp_path / "report.out"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_text() == out
+
+
+# command -> the library call it makes after reading its input
+LIBRARY_CALL = {
+    "parse": (ld, "to_json_dict"),
+    "invariants": (cli, "obstruction_report"),
+    "trace": (traces, "zero_trace"),
+    "knotify": (traces, "knotify"),
+    "check-sphere": (traces, "_sphere_verdict"),
+    "check-schoenflies": (traces, "schoenflies_candidate"),
+    "catalog": (cli, "catalog"),
+    "batch": (cli, "obstruction_report"),
+}
+# error -> exit code, the stderr line after any traceback, and the batch band
+BAND_CASES = [
+    (InputError("boom"), 2, "input error: boom", "input"),
+    (PreconditionError("boom"), 3, "precondition violated: boom", "precondition"),
+    (InternalInvariantError("boom"), 4, "internal invariant breach: boom", "internal"),
+    (ZeroDivisionError("boom"), 4, "internal error: ZeroDivisionError: boom", "internal"),
+    (TracekitError("boom"), 4, "internal error: TracekitError: boom", "internal"),
+]
+
+
+@pytest.mark.parametrize("error, code, line, band", BAND_CASES,
+                         ids=[type(case[0]).__name__ for case in BAND_CASES])
+@pytest.mark.parametrize("command", list(BASE_ARGV))
+def test_each_error_band_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                               command, error, code, line, band):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(*LIBRARY_CALL[command], fail)
+    got = cli.main(_argv(tmp_path, BASE_ARGV[command]))
+    out, err = capsys.readouterr()
+    traced = line.startswith("internal error: ")
+    assert ("Traceback" in err) == (traced or (command == "batch" and code == 4))
+    if command == "batch":
+        # a failed row is counted under its band; only a bug fails the batch
+        summary = json.loads(out)["summary"]
+        assert summary["by_band"][band] == summary["failed"] == 1
+        if band == "internal":
+            assert got == 4
+            assert err.endswith("internal invariant breach in 1 batch rows\n")
+        else:
+            assert (got, err) == (0, "")
+        return
+    assert (got, out) == (code, "")
+    assert err.endswith(line + "\n") and (traced or err == line + "\n")
 
 
 @pytest.mark.parametrize("option, command", [
