@@ -64,7 +64,7 @@ def _read_link(path: str) -> tuple[LinkDiagram, list[int] | None, dict]:
         return parse_pd(text), None, {}
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
         raise MalformedPD(f"bad JSON: {exc}") from exc
     return (*linkdiag.from_json_dict(data), data)
 
@@ -105,7 +105,7 @@ def _parse_partition(text: str, components: int) -> traces.WeightedPartition:
 def _parse_bands(text: str) -> list[BandSpec]:
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
         raise InputError(f"bad bands JSON: {exc}") from exc
 
     def arc(x, row):
@@ -240,9 +240,9 @@ def _cmd_batch(args) -> dict:
     try:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.loads(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError is a ValueError
         raise InputError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
         raise InputError(f"bad manifest JSON: {exc}") from exc
     if isinstance(manifest, dict):
         manifest = manifest.get("entries")  # an object without them is malformed

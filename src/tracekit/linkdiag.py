@@ -20,7 +20,7 @@ import json
 import re
 from collections import Counter, namedtuple
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, count, groupby, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -116,12 +116,9 @@ class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
 
     @cached_property
     def face_of(self) -> list[int]:
-        """Corner -> index of its face in ``face_corners``."""
-        face_of = [0] * (4 * len(self.crossings))
-        for i, f in enumerate(self.face_corners):
-            for x in f:
-                face_of[x] = i
-        return face_of
+        """Corner -> index of its face in ``face_corners``; ``faces`` fills it."""
+        self.face_corners
+        return self.__dict__["face_of"]
 
     @cached_property
     def pieces(self) -> list[set[int]]:
@@ -129,12 +126,9 @@ class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
 
     @cached_property
     def piece_of(self) -> list[int]:
-        """Crossing id -> index of its connected piece in ``pieces``."""
-        piece_of = [0] * len(self.crossings)
-        for i, piece in enumerate(self.pieces):
-            for cid in piece:
-                piece_of[cid] = i
-        return piece_of
+        """Crossing id -> index of its piece in ``pieces``; ``_pieces`` fills it."""
+        self.pieces
+        return self.__dict__["piece_of"]
 
     @cached_property
     def linking(self) -> tuple[tuple[int, ...], ...]:
@@ -442,7 +436,8 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
     """Connected pieces of the 4-valent graph, as sets of crossing ids in
     order of least crossing id.  Both strands at a crossing lie in its
     piece, so a piece is a union of components: join each crossing's
-    under-strand component (slot 0) with its over-strand one (slot 1)."""
+    under-strand component (slot 0) with its over-strand one (slot 1).
+    The labels, numbered in piece order, stay in the memo as ``piece_of``."""
     ec = d.edge_component
     corners = d.corner_edges
     under = list(map(ec.__getitem__, corners[0::4]))
@@ -457,10 +452,11 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
         root[find(u)] = find(o)
     label = list(map([find(i) for i in root].__getitem__, under))
     # dict keys keep the order of each label's least crossing
-    firsts = dict.fromkeys(label)
-    if len(firsts) < 2:
-        return [set(range(len(label)))] if label else []
-    return [set(compress(range(len(label)), map(r.__eq__, label))) for r in firsts]
+    number = {r: i for i, r in enumerate(dict.fromkeys(label))}
+    piece_of = d.__dict__["piece_of"] = list(map(number.__getitem__, label))
+    # a stable sort keeps each piece's crossings together, in piece order
+    by_piece = sorted(range(len(label)), key=piece_of.__getitem__)
+    return [set(g) for _, g in groupby(by_piece, piece_of.__getitem__)]
 
 
 def is_connected(d: LinkDiagram) -> bool:
@@ -482,16 +478,18 @@ def faces(d: LinkDiagram) -> list[list[int]]:
     # the walk leaves a corner along the edge at its next slot and goes
     # on from that edge's other end
     step = _after(d.partner)
-    seen = [False] * len(step)
+    # corner -> its face's index, None until walked; the diagram keeps it
+    face_of = d.__dict__["face_of"] = [None] * len(step)
     out = []
     # each face starts at its least corner, so faces come in that order
     for start in range(len(step)):
-        if seen[start]:
+        if face_of[start] is not None:
             continue
+        i = len(out)
         face = []
         x = start
-        while not seen[x]:
-            seen[x] = True
+        while face_of[x] is None:
+            face_of[x] = i
             face.append(x)
             x = step[x]
         out.append(face)
@@ -574,7 +572,10 @@ def parse_pd(text: str, name: str | None = None) -> "LinkDiagram":
         tm = _TUPLE_RE.fullmatch(tok)
         if tm is None:
             raise MalformedPD(f"unrecognized PD token {tok!r}")
-        tuples.append(tuple(map(int, tm.groups())))
+        try:
+            tuples.append(tuple(map(int, tm.groups())))
+        except ValueError as exc:  # an id longer than sys.get_int_max_str_digits()
+            raise MalformedPD(f"bad PD tuple: {exc}") from exc
     if not tuples and nloops == 0:
         raise MalformedPD("empty PD code")
     return assemble_pd(tuples, nloops, name, strict_under=True)
@@ -700,7 +701,9 @@ def dumps(d: LinkDiagram, framings: list[int] | None = None) -> str:
 def loads(text: str) -> tuple[LinkDiagram, list[int] | None]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer longer than
+    # sys.get_int_max_str_digits(); deep nesting is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise MalformedPD(f"bad JSON: {exc}") from exc
     return from_json_dict(data)
 
@@ -1011,34 +1014,25 @@ def from_braid(word: list[int], strands: int | None = None, name: str | None = N
         strands = max((abs(x) for x in word), default=1) + 1
     if any(x == 0 or abs(x) >= strands for x in word):
         raise MalformedPD("braid letter out of range")
-    b = _Builder(name=name)
+    # the closure leaves each position along its start edge, so the last
+    # letter at a position wires that edge; an untouched position is a loop
+    last = [-1] * strands
+    for k, letter in enumerate(word):
+        last[abs(letter) - 1] = last[abs(letter)] = k
+    b = _Builder(loops=last.count(-1), name=name)
     start = [b.new_edge_id() for _ in range(strands)]
     cur = list(start)
-    used = [False] * strands
-    for letter in word:
+    for k, letter in enumerate(word):
         i = abs(letter) - 1
-        used[i] = used[i + 1] = True
         e_i, e_j = cur[i], cur[i + 1]
-        f_i, f_j = b.new_edge_id(), b.new_edge_id()
+        f_i = start[i] if last[i] == k else b.new_edge_id()
+        f_j = start[i + 1] if last[i + 1] == k else b.new_edge_id()
         if letter > 0:
             # strand arriving from position i+1 passes over to position i
             b.add_crossing((e_i, f_i, f_j, e_j), 1)
         else:
             b.add_crossing((e_j, e_i, f_i, f_j), -1)
         cur[i], cur[i + 1] = f_i, f_j
-    # closure: identify cur[p] with start[p]
-    remap: dict[int, int] = {}
-    for p in range(strands):
-        if not used[p]:
-            b.loops += 1
-            continue
-        if cur[p] == start[p]:
-            continue
-        remap[cur[p]] = start[p]
-    for x, e in enumerate(b.edges):
-        while e in remap:
-            e = remap[e]
-        b.edges[x] = e
     return b.freeze()
 
 

@@ -458,7 +458,6 @@ def surface_partition(d: LinkDiagram, pieces) -> tuple[WeightedPartition, tuple]
 
 PASS_NECESSARY = "pass-necessary"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 
 class TraceVerdict(NamedTuple):

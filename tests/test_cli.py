@@ -11,7 +11,13 @@ import pytest
 from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit import traces
-from tracekit.errors import InputError, InternalInvariantError, PreconditionError, TracekitError
+from tracekit.errors import (
+    InputError,
+    InternalInvariantError,
+    MalformedPD,
+    PreconditionError,
+    TracekitError,
+)
 from tracekit.exactlinalg import congruence_eliminate
 
 
@@ -569,6 +575,78 @@ def test_link_name_string_empty_or_null(tmp_path, capsys, name, label):
     assert json.loads(out)["link"] == label
     d, _ = ld.from_json_dict({**HOPF_JSON, "name": name})
     assert d.name == (name or None)
+
+
+# -- JSON that json.loads refuses without a JSONDecodeError --------------------------
+
+@pytest.fixture
+def long_int():
+    """An integer literal longer than ``sys.get_int_max_str_digits()``,
+    which ``int`` and ``json.loads`` refuse with a plain ValueError."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer string length limit in this Python")
+    return "7" * max(5000, limit + 1)
+
+
+@pytest.fixture(params=["digits", "nesting"])
+def hostile(request):
+    """A JSON value that ``json.loads`` refuses with a ValueError (too
+    many digits) or a RecursionError (too deep)."""
+    if request.param == "digits":
+        return request.getfixturevalue("long_int")
+    return "[" * 200_000 + "]" * 200_000
+
+
+def _main(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", ["parse", "trace"])
+def test_hostile_link_json_is_an_input_error(tmp_path, capsys, hostile, command):
+    path = tmp_path / "link.json"
+    path.write_text('{"pd": %s}' % hostile)
+    code, out, err = _main(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad JSON: ")
+
+
+def test_hostile_pd_text_is_an_input_error(tmp_path, capsys, long_int):
+    path = tmp_path / "link.pd"
+    path.write_text(f"X({long_int},2,3,4)")
+    code, out, err = _main(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad PD tuple: ")
+
+
+def test_hostile_manifest_and_manifest_entry(tmp_path, capsys, hostile):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('[{"catalog": "hopf:+", "x": %s}]' % hostile)
+    code, out, err = _main(capsys, "batch", str(manifest))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad manifest JSON: ")
+    link = tmp_path / "link.json"
+    link.write_text('{"pd": %s}' % hostile)
+    manifest.write_text(json.dumps([{"file": str(link)}, {"catalog": "hopf:+"}]))
+    code, out, err = _main(capsys, "batch", str(manifest))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [r["ok"] for r in data["rows"]] == [False, True]
+    assert data["summary"]["by_band"] == {"input": 1, "precondition": 0, "internal": 0}
+
+
+def test_hostile_bands_are_an_input_error(capsys, hostile):
+    code, out, err = _main(capsys, "knotify", "--catalog", "hopf:+",
+                           "--bands", "[[1, %s]]" % hostile)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad bands JSON: ")
+
+
+def test_hostile_json_in_loads_is_malformed_pd(hostile):
+    with pytest.raises(MalformedPD, match="^bad JSON: "):
+        ld.loads('{"pd": %s}' % hostile)
 
 
 # -- options and exit codes ---------------------------------------------------

@@ -13,6 +13,7 @@ corners, is kept too, and checked against the corner-local face sides.
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -186,6 +187,26 @@ def _split_closures(rng, count):
     return out
 
 
+def _split_link(rng, pieces):
+    """A split closure: each piece braids a block of 2-3 strands with
+    every generator of its block and up to two more letters, an untouched
+    strand between blocks now and then closes into a loop, and the
+    pieces' letters are interleaved at random."""
+    words = []
+    base = 0
+    for _ in range(pieces):
+        base += rng.choice([0, 0, 1])
+        gens = list(range(base + 1, base + rng.choice([2, 3])))
+        word = gens + [rng.choice(gens) for _ in range(rng.randrange(3))]
+        rng.shuffle(word)
+        words.append([rng.choice([1, -1]) * g for g in word])
+        base = gens[-1] + 1
+    word = []
+    while any(words):
+        word.append(rng.choice([w for w in words if w]).pop(0))
+    return ld.from_braid(word, base + rng.choice([0, 1]))
+
+
 def _corpus_diagrams():
     rng = random.Random(base_seed() + 6)
     out = list(chirality_corpus())
@@ -223,6 +244,41 @@ def test_faces_pieces_and_walks_match(diagrams):
             # one place per end, so in end order rather than face order
             assert sorted(ld._edge_places(d, e)) == [(i, p) for i, walk in enumerate(walks)
                                                      for x, p in walk if x == e]
+
+
+def test_many_piece_split_links_match():
+    rng = random.Random(base_seed() + 23)
+    with_loops = 0
+    for pieces in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+        d = _split_link(rng, pieces)
+        with_loops += d.loops > 0
+        faces, split = ref_faces(d), ref_pieces(d)
+        assert len(split) == pieces
+        assert [[(x >> 2, x & 3) for x in f] for f in ld.faces(d)] == faces
+        assert ld._pieces(d) == split
+        face_of = {x: i for i, f in enumerate(faces) for x in f}
+        piece_of = {c: i for i, piece in enumerate(split) for c in piece}
+        # each memo read first on a fresh diagram, and after its list
+        for first in (True, False):
+            fresh = ld.LinkDiagram(d.crossings, d.components, d.loops)
+            if not first:
+                fresh.face_corners, fresh.pieces
+            assert fresh.face_of == [face_of[x >> 2, x & 3] for x in range(4 * len(d.crossings))]
+            assert fresh.piece_of == [piece_of[c.id] for c in d.crossings]
+    assert with_loops >= 3
+
+
+def test_loads_of_a_4000_piece_split_link_is_linear():
+    """8,000 crossings in 4,000 Hopf pieces.  Grouping crossings by piece
+    is one sort; a piece search that rescans every crossing once per
+    piece is quadratic, and takes seconds at this size."""
+    d = ld.from_braid([g for p in range(4000) for g in (2 * p + 1, 2 * p + 1)])
+    text = ld.dumps(d)
+    t0 = time.perf_counter()
+    again, _ = ld.loads(text)
+    elapsed = time.perf_counter() - t0
+    assert again == d and len(again.pieces) == 4000
+    assert elapsed < 1.0, f"loads took {elapsed:.2f}s (budget 1s)"
 
 
 def test_corner_memos_match(diagrams):
