@@ -17,6 +17,7 @@ behind the planar-surface obstruction reports.
 """
 
 import json
+from operator import eq
 from typing import NamedTuple
 
 from .errors import (
@@ -63,36 +64,39 @@ class GoeritzData(NamedTuple):
 
 def _shadings(d: LinkDiagram) -> list[tuple[list[int], list[tuple[int, int, int, int]]]]:
     """The checkerboard shading classes of the faces, each as (its faces
-    in order, its crossing edges (a, b, weight, crossing sign)): every
-    crossing joins its opposite face corners, (0,2) with weight +1 and
-    (1,3) with weight -1.  A face walk never leaves its piece, so each
-    piece has two classes."""
-    face_of = d.face_of
-    parent = list(range(len(d.face_corners)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for c in d.crossings:
-        x = 4 * c.id
-        for a, b, weight in ((face_of[x], face_of[x + 2], 1),
-                             (face_of[x + 1], face_of[x + 3], -1)):
-            edges.append((a, b, weight, c.sign))
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    classes = {}
-    for f in range(len(parent)):
-        classes.setdefault(find(f), ([], []))[0].append(f)
-    if len(classes) != 2 * len(d.pieces):
-        raise InternalInvariantError(f"{len(classes)} shading classes")
-    for edge in edges:
-        classes[find(edge[0])][1].append(edge)
-    return [classes[root] for root in sorted(classes)]
+    in increasing order, its crossing edges (a, b, weight, crossing sign)
+    in crossing order): every crossing joins its opposite face corners,
+    (0,2) with weight +1 and (1,3) with weight -1, so opposite corners
+    share a class and adjacent ones differ.  One traversal colours the
+    faces, and the classes come in order of least face.  A face walk
+    never leaves its piece, so each piece has two classes."""
+    face_of, face_corners = d.face_of, d.face_corners
+    color = [-1] * len(face_corners)
+    classes = []
+    for f0 in range(len(face_corners)):
+        if color[f0] >= 0:
+            continue
+        k = color[f0] = len(classes)
+        faces = [f0]
+        # the loop also visits the faces appended while it runs
+        for f in faces:
+            for x in face_corners[f]:
+                g = face_of[x ^ 2]
+                if color[g] < 0:
+                    color[g] = k
+                    faces.append(g)
+        faces.sort()
+        classes.append((faces, []))
+    # corner -> its class: opposite corners equal, adjacent ones differ
+    cls = list(map(color.__getitem__, face_of))
+    if (len(classes) != 2 * len(d.pieces) or cls[0::4] != cls[2::4] or cls[1::4] != cls[3::4]
+            or any(map(eq, cls[0::4], cls[1::4]))):
+        raise InternalInvariantError(f"{len(classes)} shading classes, not a checkerboard")
+    for a, b, p, q, c in zip(face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4],
+                             d.crossings):
+        classes[color[a]][1].append((a, p, 1, c.sign))
+        classes[color[b]][1].append((b, q, -1, c.sign))
+    return classes
 
 
 def _goeritz_rows(edges, faces) -> tuple[dict[int, dict[int, int]], int]:
@@ -127,8 +131,10 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, ...]:
 
 def _goeritz_invariants(d: LinkDiagram) -> tuple[int, int]:
     """(sigma, det) of a diagram, summed and multiplied over its pieces:
-    each piece's shading with fewer faces (the first on a tie) is
-    eliminated once, and crossing-free loops add (0, 1)."""
+    each piece's shading with fewer faces (on a tie, the one holding the
+    piece's least face, first in ``_shadings``' order) is eliminated
+    once, and crossing-free loops add (0, 1).  By Gordon-Litherland the
+    choice changes neither sigma nor |det|."""
     chosen = {}
     piece_of, face_corners = d.piece_of, d.face_corners
     for faces, edges in _shadings(d):

@@ -59,11 +59,11 @@ class LinkDiagram(namedtuple("LinkDiagram", "crossings components loops name")):
     computed at most once, on first use, and shared by every caller, who
     must not mutate it.  The memo lives in the instance's ``__dict__``:
     it is no field, so equality, hashing and serialization, which read
-    the tuple, ignore it, and it goes away with the diagram.  ``freeze``
-    fills ``corner_edges`` and ``partner`` from its component walk; a
-    diagram built directly computes them on first use.  Either way the
-    pieces are unions of components, joined at every crossing between
-    two, so they need ``edge_component`` and no corner search.
+    the tuple, ignore it, and it goes away with the diagram.  Every
+    freeze and parse fills ``corner_edges`` and ``partner`` (in
+    ``_canonical``), a diagram built directly on first use.  Either way
+    the pieces are unions of components, joined at every crossing
+    between two, so they need ``edge_component`` and no corner search.
 
     The memo numbers corner (c, s) as the int 4c+s, so crossing i must
     have id i."""
@@ -355,75 +355,81 @@ class _Builder:
         # a strand entering at corner x leaves at x ^ 2, which the sign
         # makes a tail, so every walk flows through; an edge missing its
         # tail is never walked into, so its walk meets one with no head.
-        # The walk numbers edges consecutively along components and
-        # crossings in order of first touch, and pairs corners: an edge's
-        # tail is the corner opposite the previous edge's head.
-        edge_map = [0] * n  # old edge -> new id, 0 until walked
-        new_id = [-1] * len(signs)
-        order: list[int] = []  # old crossing ids in order of new id
-        walk: list[int] = []  # old edges in order of new id
-        bounds = [1]  # each component's first new edge id, then one past the last
-        partner = [0] * (2 * ends)  # four corners per live crossing
-        nxt = 1
+        # A walked edge's head is cleared, so components start at their
+        # least edge id.
+        walk: list[int] = []  # head corners in walk order
+        bounds = [1]
         for start, x in enumerate(heads):
-            if x < 0 or edge_map[start]:
+            if x < 0:
                 continue
             e = start
-            t = -1
-            while not edge_map[e]:
+            while True:
                 x = heads[e]
                 if x < 0:
                     raise InternalInvariantError("edge with missing end")
-                edge_map[e] = nxt
-                nxt += 1
-                walk.append(e)
-                c = x >> 2
-                i = new_id[c]
-                if i < 0:
-                    i = new_id[c] = len(order)
-                    order.append(c)
-                h = 4 * i + (x & 3)
-                if t < 0:
-                    h0 = h
-                else:
-                    partner[h] = t
-                    partner[t] = h
-                t = h ^ 2
+                heads[e] = -1
+                walk.append(x)
                 e = edges[x ^ 2]
-            if e != start:
-                raise InternalInvariantError("component walk did not close")
-            partner[h0] = t
-            partner[t] = h0
-            # A two-edge component lying entirely over other strands is
-            # the one case a bare PD code cannot orient by the numbering
-            # convention alone; swap its two ids if that puts the lower
-            # id's head at the lower crossing id, which is what parsing
-            # assumes for the tie-break.  The crossing order stays: the
-            # lower crossing was touched before the component.
-            if nxt - bounds[-1] == 2 and all(heads[e] & tails[e] & 1 for e in walk[-2:]):
-                first, second = walk[-2:]
-                if new_id[heads[first] >> 2] > new_id[heads[second] >> 2]:
-                    walk[-2:] = second, first
-                    edge_map[first], edge_map[second] = nxt - 1, nxt - 2
-            bounds.append(nxt)
-        # every live crossing is the head of its under-in edge, so order
-        # holds them all.  Crossing's generated __new__ checks nothing, so
-        # tuple.__new__ builds the crossings in C, with no Python frame
-        # per crossing
-        renamed = list(zip(*[iter(map(edge_map.__getitem__, edges))] * 4))
-        quads = list(map(renamed.__getitem__, order))
-        corner_edges = list(chain.from_iterable(quads))
-        crossings = tuple(map(tuple.__new__, repeat(Crossing),
-                              zip(range(len(order)), quads, map(signs.__getitem__, order))))
-        components = tuple(map(tuple, map(range, bounds[:-1], bounds[1:])))
-        self.last_edge_map = dict(zip(walk, range(1, nxt)))
-        diagram = LinkDiagram(crossings, components, self.loops, self.name)
-        diagram.__dict__["corner_edges"] = corner_edges
-        diagram.__dict__["partner"] = partner
-        _validate_planarity(diagram)
-        if diagram.num_components < 1:
-            raise MalformedPD("diagram has no components")
+                if e == start:
+                    break
+            bounds.append(len(walk) + 1)
+        diagram = _canonical(walk, bounds, self.loops, self.name)
+        self.last_edge_map = dict(zip(map(edges.__getitem__, walk), count(1)))
         return diagram
+
+
+def _canonical(heads: list[int], bounds: list[int], loops: int, name: str | None) -> LinkDiagram:
+    """The canonical diagram of an oriented walk, which ``freeze`` and
+    ``assemble_pd`` both end in.
+
+    ``heads`` lists the corners 4c+s where edges flow into crossings,
+    component by component in order of least edge, each from the head of
+    that edge along the orientation; ``bounds`` holds each component's
+    first new edge id, then one past the last, so ``heads[k - 1]`` is new
+    edge k's head.  Crossings are numbered in order of first touch, an
+    edge's tail is the corner opposite the previous head, and a crossing
+    is positive exactly when its over-strand enters at slot 3, so the
+    heads are all it reads.  A two-edge component lying entirely over
+    other strands is the one case a bare PD code cannot orient by the
+    numbering convention alone; its two heads are swapped, in place, if
+    that puts the lower id's head at the lower crossing id, which is what
+    parsing assumes for the tie-break.  The crossing order stays: the
+    lower crossing was touched first."""
+    # old crossing -> 4 * its new id, new ids in order of first touch
+    order = dict.fromkeys(map((2).__rrshift__, heads))
+    base = [0] * (max(order, default=0) + 1)
+    for i, c in enumerate(order):
+        base[c] = 4 * i
+    corner_edges = [0] * (2 * len(heads))
+    partner = [0] * (2 * len(heads))
+    signs = [0] * len(order)
+    for a, b in zip(bounds, bounds[1:]):
+        if (b - a == 2 and heads[a - 1] & heads[a] & 1
+                and base[heads[a - 1] >> 2] > base[heads[a] >> 2]):
+            heads[a - 1], heads[a] = heads[a], heads[a - 1]
+        # the first edge's tail is opposite the last head
+        x = heads[b - 2]
+        t = base[x >> 2] + (x & 3) ^ 2
+        for e, x in enumerate(heads[a - 1:b - 1], a):
+            h = base[x >> 2] + (x & 3)
+            if x & 1:
+                signs[h >> 2] = (x & 3) - 2
+            corner_edges[h] = corner_edges[t] = e
+            partner[h] = t
+            partner[t] = h
+            t = h ^ 2
+    # Crossing's generated __new__ checks nothing, so tuple.__new__
+    # builds the crossings in C, with no Python frame per crossing
+    quads = zip(*[iter(corner_edges)] * 4)
+    crossings = tuple(map(tuple.__new__, repeat(Crossing), zip(range(len(signs)), quads, signs)))
+    components = tuple(map(tuple, map(range, bounds[:-1], bounds[1:])))
+    diagram = LinkDiagram(crossings, components, loops, name)
+    diagram.__dict__["corner_edges"] = corner_edges
+    diagram.__dict__["partner"] = partner
+    _validate_planarity(diagram)
+    if diagram.num_components < 1:
+        raise MalformedPD("diagram has no components")
+    return diagram
 
 
 def _thaw(d: LinkDiagram) -> _Builder:
@@ -592,28 +598,33 @@ def assemble_pd(
     Corner 4c+s is slot s of tuple c.  A strand enters at corner x and
     leaves at x ^ 2, so the heads of one orientation of a component are
     the orbit of x -> partner[x ^ 2] from the first corner of its least
-    edge, and those of the other are the corners x ^ 2.  With
-    ``strict_under`` slot 0 is the incoming under-strand (the PD
+    edge, and those of the other are its corners x ^ 2 in reverse order.
+    With ``strict_under`` slot 0 is the incoming under-strand (the PD
     convention), so a walk meeting slot 0 keeps its orientation, one
     meeting slot 2 reverses it and one meeting both is a conflict.
     Without it, tuples are rotated as needed.  A component passing only
     over, or in free mode a conflicted one, goes along increasing edge
-    numbers: the way with more steps e -> e + 1, the walk's on a tie."""
+    numbers: the way with more steps e -> e + 1, the walk's on a tie.
+    Each component is walked once, in order of least edge, and its heads
+    go to ``_canonical``, which numbers them as ``freeze`` would."""
     if nloops < 0:
         raise MalformedPD(f"loops must be non-negative, got {nloops}")
     if nloops > CATALOG_MAX_SIZE:
         raise MalformedPD(f"{nloops} loops; link diagrams are limited to {CATALOG_MAX_SIZE}")
     edges = list(chain.from_iterable(tuples))
     partner = _pair_corners(edges)
-    # the first corner of each edge, in order of edge id
-    firsts = sorted((x for x, y in enumerate(partner) if x < y), key=edges.__getitem__)
-    head = [False] * len(edges)
-    for x0 in firsts:
-        if head[x0] or head[partner[x0]]:
+    heads: list[int] = []
+    bounds = [1]
+    walked: set[int] = set()
+    # every id is used twice, so a stable sort by id puts each edge's
+    # first corner at an even position, in order of edge id
+    for x0 in sorted(range(len(edges)), key=edges.__getitem__)[::2]:
+        if x0 in walked or partner[x0] in walked:
             continue  # on a component already walked
-        walk = [x0]
-        while (x := partner[walk[-1] ^ 2]) != x0:
+        walk, x = [x0], x0
+        while (x := partner[x ^ 2]) != x0:
             walk.append(x)
+        walked.update(walk)
         under = {x & 3 for x in walk} & {0, 2}
         if strict_under and len(under) == 2:
             raise OrientationConflict(
@@ -625,22 +636,16 @@ def assemble_pd(
         else:
             steps = [(edges[x], edges[x ^ 2]) for x in walk]
             forward = sum(b == a + 1 for a, b in steps) >= sum(a == b + 1 for a, b in steps)
-        for x in walk:
-            head[x if forward else x ^ 2] = True
-
-    # the builder indexes edges by id, so renumber them 1..m in the same
-    # order, which keeps freeze's component order and walk starts
-    rank = dict(zip(map(edges.__getitem__, firsts), count(1)))
-    flat = list(map(rank.__getitem__, edges))
-    signs = []
-    for c in range(0, len(flat), 4):
-        if head[c]:
-            signs.append(1 if head[c + 3] else -1)
-        else:
-            # only free mode leaves an under-strand flowing from slot 2
-            flat[c:c + 4] = flat[c + 2:c + 4] + flat[c:c + 2]
-            signs.append(1 if head[c + 1] else -1)
-    return _Builder(flat, signs, len(rank) + 1, nloops, name).freeze()
+        # reversed, the heads are the walk's exits x ^ 2, last first
+        heads += walk if forward else map((2).__xor__, reversed(walk))
+        bounds.append(len(heads) + 1)
+    if not strict_under:
+        # only free mode leaves an under-strand entering at slot 2; its
+        # crossing turns by two slots
+        turned = {x >> 2 for x in heads if x & 3 == 2}
+        if turned:
+            heads = [x ^ 2 if x >> 2 in turned else x for x in heads]
+    return _canonical(heads, bounds, nloops, name)
 
 
 def serialize_pd(d: LinkDiagram) -> str:
@@ -688,7 +693,7 @@ def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
             framings = [json_int(x, "framing") for x in framings]
     except (KeyError, TypeError) as exc:
         raise MalformedPD(f"bad link JSON: {exc}") from exc
-    if any(len(row) != 4 for row in pd):
+    if set(map(len, pd)) - {4}:
         raise MalformedPD("pd rows must have four entries")
     d = assemble_pd(pd, nloops, name, strict_under=True)
     return d, framings

@@ -1,11 +1,12 @@
 """Each frozen diagram derives its faces, pieces and linking once.
 
-``freeze`` walks the faces and builds the pieces for its planarity
-check, and every later reader takes them from the diagram's memo.  So
-over any run, ``faces`` and ``_pieces`` run at most once per freeze, and
+``_canonical``, the tail that ``freeze`` and the parse share, walks the
+faces and builds the pieces for its planarity check, and every later
+reader takes them from the diagram's memo.  So over any run, ``faces``
+and ``_pieces`` run at most once per canonical diagram, and
 no caller may change what the memo holds.  Band merges, clasps, R2
-pushes and direct-band searches read faces from corners, and ``freeze``
-pairs corners from its own walk, so surgery builds no face walks, and
+pushes and direct-band searches read faces from corners, and ``_canonical``
+pairs corners from the walk's heads, so surgery builds no face walks, and
 none of them pairs corners again.
 """
 
@@ -47,23 +48,21 @@ def _exercise(d, pairs):
 
 
 def _counting(calls, name, fn):
-    def wrapped(*args):
+    def wrapped(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapped
 
 
 def test_faces_and_pieces_run_at_most_once_per_freeze(monkeypatch, corpus):
-    calls = {"faces": 0, "_pieces": 0, "freeze": 0}
-    for name in ("faces", "_pieces"):
+    calls = {"faces": 0, "_pieces": 0, "_canonical": 0}
+    for name in calls:
         monkeypatch.setattr(ld, name, _counting(calls, name, getattr(ld, name)))
-    monkeypatch.setattr(ld._Builder, "freeze",
-                        _counting(calls, "freeze", ld._Builder.freeze))
     for d, pairs in corpus:
         _exercise(d, pairs)
-    assert calls["freeze"] > 1000, calls
-    assert calls["faces"] <= calls["freeze"]
-    assert calls["_pieces"] <= calls["freeze"]
+    assert calls["_canonical"] > 1000, calls
+    assert calls["faces"] <= calls["_canonical"]
+    assert calls["_pieces"] <= calls["_canonical"]
 
 
 def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
@@ -95,22 +94,24 @@ def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
 
 
 def test_seed1_surgery_pass_freezes_once_per_band_and_clasp_step(monkeypatch, tmp_path):
-    """A seed-1 pass over the benchmark's surgery corpus makes 184
-    freezes.  Building each band merge and its clasp in one builder took
-    122 freezes off the 373 of two builds per step, and the 26
-    ``trace --partition`` items stopped freezing (251 before) when
-    high-order traces were read from the linking matrix instead of
-    knotifying every block.  Knotify always finds a direct band, so the
-    pass makes no R2 push."""
+    """A seed-1 pass over the benchmark's surgery corpus builds 184
+    canonical diagrams: 100 parses and 84 builder freezes.  Building each
+    band merge and its clasp in one builder took 122 freezes off the 373
+    of two builds per step, and the 26 ``trace --partition`` items
+    stopped freezing (251 before) when high-order traces were read from
+    the linking matrix instead of knotifying every block.  Parses end in
+    the canonical tail without a builder.  Knotify always finds a direct
+    band, so the pass makes no R2 push."""
     items = bench_corpus.build("surgery", GOLDEN_SEED)
-    calls = {"freeze": 0, "_r2_insert_mapped": 0}
+    calls = {"_canonical": 0, "assemble_pd": 0, "freeze": 0, "_r2_insert_mapped": 0}
+    for name in ("_canonical", "assemble_pd", "_r2_insert_mapped"):
+        monkeypatch.setattr(ld, name, _counting(calls, name, getattr(ld, name)))
     monkeypatch.setattr(ld._Builder, "freeze",
                         _counting(calls, "freeze", ld._Builder.freeze))
-    monkeypatch.setattr(ld, "_r2_insert_mapped",
-                        _counting(calls, "_r2_insert_mapped", ld._r2_insert_mapped))
     for k, item in enumerate(items):
         assert run_item(item, tmp_path / f"item{k}")[0] == 0
-    assert calls["freeze"] == 184
+    assert calls["_canonical"] == 184
+    assert (calls["assemble_pd"], calls["freeze"]) == (100, 84)
     assert calls["_r2_insert_mapped"] == 0
 
 

@@ -2,15 +2,16 @@
 
 Every command must answer a random diagram with a report or a clean
 input/precondition error: no traceback, and exit code 0, 2 or 3.  The
-inputs are PD JSON and PD text of at most 6 crossings, some of them
+inputs are PD JSON and PD text of at most 30 crossings, some of them
 valid braid closures and some perturbed or random, with random loop
 counts, framings, dotted lists, ``--bands`` values and ``trace
 --partition`` values.  An unperturbed braid closure sometimes gets a
 partition of its own components with framings that meet every block's
 law, so a ``trace --partition`` run can succeed; its word then uses
-every generator, so those runs see crossings.  Sizes stay small
-because reports grow quadratically with the component count.  The run is
-seeded from TRACEKIT_SEED.
+every generator, so those runs see crossings.  Braid closures have at
+most 4 strands and so at most 4 components, which keeps reports small
+(they grow quadratically with the component count) while the parse
+sees words of up to 30 letters.  The run is seeded from TRACEKIT_SEED.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit.errors import TracekitError
 
-MAX_CROSSINGS = 6
+MAX_CROSSINGS = 30
 COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",
             "check-schoenflies")
 

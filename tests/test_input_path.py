@@ -1,14 +1,19 @@
 """The PD input path against the code it replaced.
 
-``assemble_pd`` orients each component with one walk over flat corners
-and ``parse_pd`` splits its text with one ``findall``.  The references
-below are the earlier implementations, kept verbatim apart from module
-prefixes, the way ``test_flat_core`` keeps the dict-based faces; the
-assembly builds on the tuple-slot builder of ``ref_builder``.  On a
-seeded corpus the library must build the same diagram or raise the same
-exception class.  The tokenizer may differ only where the reference
-stopped reading at a separator other than space, tab, newline or comma,
-rejected a code starting with a comma, or rejected the edge id 0.
+``assemble_pd`` orients each component inside the one walk that feeds
+the canonical tail, and ``parse_pd`` splits its text with one
+``findall``.  The references below are the earlier implementations,
+kept verbatim apart from module prefixes, the way ``test_flat_core``
+keeps the dict-based faces: the dict-based assembly builds on the
+tuple-slot builder of ``ref_builder``, and the five-pass assembly
+(orientation walk, head marks, renumbering, a sign loop and a builder
+freeze) on the library's builder.  On a seeded corpus the library must
+build the same diagram, with the corner memos its parse writes equal to
+the ones a diagram derives from its crossings, or raise the same
+exception class; against the five-pass assembly, with the same message
+too.  The tokenizer may differ only where the reference stopped reading
+at a separator other than space, tab, newline or comma, rejected a code
+starting with a comma, or rejected the edge id 0.
 """
 
 import json
@@ -16,6 +21,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain, count
 
 import pytest
 
@@ -162,12 +168,77 @@ def ref_ascents(heads: dict[int, Corner], occ, tuples, partner) -> int:
     return score
 
 
+def flat_assemble_pd(
+    tuples: list[tuple[int, int, int, int]],
+    nloops: int = 0,
+    name: str | None = None,
+    strict_under: bool = True,
+) -> ld.LinkDiagram:
+    if nloops < 0:
+        raise MalformedPD(f"loops must be non-negative, got {nloops}")
+    if nloops > ld.CATALOG_MAX_SIZE:
+        raise MalformedPD(f"{nloops} loops; link diagrams are limited to {ld.CATALOG_MAX_SIZE}")
+    edges = list(chain.from_iterable(tuples))
+    partner = ld._pair_corners(edges)
+    # the first corner of each edge, in order of edge id
+    firsts = sorted((x for x, y in enumerate(partner) if x < y), key=edges.__getitem__)
+    head = [False] * len(edges)
+    for x0 in firsts:
+        if head[x0] or head[partner[x0]]:
+            continue  # on a component already walked
+        walk = [x0]
+        while (x := partner[walk[-1] ^ 2]) != x0:
+            walk.append(x)
+        under = {x & 3 for x in walk} & {0, 2}
+        if strict_under and len(under) == 2:
+            raise OrientationConflict(
+                f"component {sorted(edges[x] for x in walk)} cannot satisfy "
+                "the under-strand convention"
+            )
+        if len(under) == 1:
+            forward = 0 in under
+        else:
+            steps = [(edges[x], edges[x ^ 2]) for x in walk]
+            forward = sum(b == a + 1 for a, b in steps) >= sum(a == b + 1 for a, b in steps)
+        for x in walk:
+            head[x if forward else x ^ 2] = True
+
+    # the builder indexes edges by id, so renumber them 1..m in the same
+    # order, which keeps freeze's component order and walk starts
+    rank = dict(zip(map(edges.__getitem__, firsts), count(1)))
+    flat = list(map(rank.__getitem__, edges))
+    signs = []
+    for c in range(0, len(flat), 4):
+        if head[c]:
+            signs.append(1 if head[c + 3] else -1)
+        else:
+            # only free mode leaves an under-strand flowing from slot 2
+            flat[c:c + 4] = flat[c + 2:c + 4] + flat[c:c + 2]
+            signs.append(1 if head[c + 1] else -1)
+    return ld._Builder(flat, signs, len(rank) + 1, nloops, name).freeze()
+
+
 def outcome(fn, *args):
-    """The diagram built, or the class of the library error raised."""
+    """The diagram built with its corner memos, or the class and message
+    of the library error raised."""
     try:
-        return fn(*args)
+        d = fn(*args)
     except TracekitError as exc:
-        return type(exc)
+        return type(exc), str(exc)
+    return d, d.corner_edges, d.partner
+
+
+def same_outcome(*args):
+    """The library's outcome, checked against both references: the
+    dict-based one up to error messages, the five-pass one exactly."""
+    got = outcome(ld.assemble_pd, *args)
+    assert got == outcome(flat_assemble_pd, *args), args
+    ref = outcome(ref_assemble_pd, *args)
+    if isinstance(got[0], type):
+        assert got[0] == ref[0], args
+    else:
+        assert got == ref, args
+    return got
 
 
 # -- corpus ------------------------------------------------------------------------
@@ -244,9 +315,8 @@ def test_assembly_matches_on_perturbed_braid_closures():
     for rows in _tuple_lists(rng, 2500):
         nloops = rng.choice([0, 0, 0, 1, 2, -1])
         for strict in (True, False):
-            got = outcome(ld.assemble_pd, rows, nloops, "x", strict)
-            assert got == outcome(ref_assemble_pd, rows, nloops, "x", strict), (rows, strict)
-            seen[got if isinstance(got, type) else "ok"] += 1
+            got = same_outcome(rows, nloops, "x", strict)
+            seen[got[0] if isinstance(got[0], type) else "ok"] += 1
     assert seen["ok"] > 1500, seen
     for cls in (InconsistentEdges, OrientationConflict, MalformedPD):
         assert seen[cls] > 500, seen
@@ -257,8 +327,7 @@ def test_assembly_matches_on_every_small_rational_link(rational_tuples):
     for tuples, nloops, name, strict in rational_tuples:
         assert strict is False
         for mode in (False, True):
-            got = outcome(ld.assemble_pd, tuples, nloops, name, mode)
-            assert got == outcome(ref_assemble_pd, tuples, nloops, name, mode), (name, mode)
+            same_outcome(tuples, nloops, name, mode)
 
 
 # -- tokenizer ---------------------------------------------------------------------
@@ -304,7 +373,7 @@ def test_tokenizer_matches_the_position_loop():
     rng = random.Random(base_seed() + 8)
     differ = Counter()
     for text in _texts(rng, 6000):
-        got = outcome(ld.parse_pd, text)
+        got = outcome(ld.parse_pd, text)[0]
         try:
             want, ref_error = ref_parse_pd(text), None
         except TracekitError as exc:
