@@ -56,7 +56,6 @@ from .traces import (
     knotify,
     planar_framing_valid,
     schoenflies_candidate,
-    smith_normal_form,
     surface_partition,
     zero_trace,
 )
@@ -74,6 +73,5 @@ __all__ = [
     "HandleDecomposition", "KnotifiedLink", "MixedLink", "WeightedPartition",
     "boundary_h1", "framed_mirror", "high_order_trace",
     "homotopy_sphere_candidate", "knotify", "planar_framing_valid",
-    "schoenflies_candidate", "smith_normal_form", "surface_partition",
-    "zero_trace",
+    "schoenflies_candidate", "surface_partition", "zero_trace",
 ]

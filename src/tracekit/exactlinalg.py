@@ -13,10 +13,16 @@ that yields the signature and the determinant in one pass.
 ``congruence_eliminate`` is its dense wrapper, and
 ``signature_symmetric`` wraps that with input checks.  ``det_int`` is
 dense Bareiss elimination, kept as the independent determinant.
+
+``cokernel`` is the one engine for boundary H1 and for ranks: it
+diagonalizes sparse rows by row and column operations, keeps no
+transforms, and works block by block through the nonzero pattern, so a
+block-diagonal Q (one block per piece, a loop's row holding only its
+framing) costs the sum of its blocks.
 """
 
 import heapq
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
@@ -29,26 +35,6 @@ IntMatrix = list[list[int]]
 
 def _copy(m):
     return [list(row) for row in m]
-
-
-def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
 
 
 def det_int(m: IntMatrix) -> int:
@@ -79,116 +65,82 @@ def det_int(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(m: IntMatrix) -> bool:
-    return abs(det_int(m)) == 1
+def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """Cokernel of m viewed as a map Z^cols -> Z^rows: returns (free
+    rank, torsion coefficients), the Smith invariant factors above 1,
+    each dividing the next.
+
+    The matrix is diagonalized by row and column operations on sparse
+    rows, with no transforms kept.  A pivot starts at the smallest entry
+    of its row; Euclid steps reduce its row and column and move it to
+    the smallest remainder until both are clear, so the work stays
+    inside the block of the nonzero pattern that holds it.  Zero rows
+    count as free rank.  The diagonal is normalized into invariant
+    factors by gcd/lcm, each entry going into the chain from the top,
+    and the chain is checked to divide."""
+    rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    cols = {}
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            cols.setdefault(j, {})[i] = x
+    rank = 0
+    chain = []
+    for i, r in enumerate(rows):
+        while r:
+            p = _clear(rows, cols, i, min(r, key=lambda j: abs(r[j])))
+            rank += 1
+            if p != 1:
+                _insert(chain, p)
+    if any(y % x for x, y in zip(chain, chain[1:])):
+        raise InternalInvariantError("cokernel divisibility chain broken")
+    return len(rows) - rank, tuple(chain)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with D = U*m*V, U and V unimodular, D diagonal with
-    nonnegative entries satisfying d[i] | d[i+1]."""
-    a = _copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        # row[dst] += f * row[src]
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # choose the nonzero entry of minimal absolute value as pivot
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
+def _clear(rows, cols, i, j) -> int:
+    """Clear the row and column of the pivot (i, j), moving the pivot
+    to the smallest remainder until both are clear; removes the pivot's
+    row and column and returns its absolute value."""
+    while True:
+        p = rows[i][j]
+        for k, x in list(cols[j].items()):
+            if k != i and (q := x // p):
+                _add(rows, cols, k, i, -q)
+        for c, x in list(rows[i].items()):
+            if c != j and (q := x // p):
+                _add(cols, rows, c, j, -q)
+        rest = [(abs(x), k, j) for k, x in cols[j].items() if k != i]
+        rest += [(abs(x), i, c) for c, x in rows[i].items() if c != j]
+        if not rest:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot now divides its row and column; enforce divisibility of the
-        # remaining block by folding a bad entry into column t
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    d = a
-    if __debug__:
-        chain = [d[i][i] for i in range(min(rows, cols))]
-        for x, y in zip(chain, chain[1:]):
-            if x == 0 and y != 0:
-                raise InternalInvariantError("SNF zero precedes nonzero")
-            if x and y % x:
-                raise InternalInvariantError("SNF divisibility chain broken")
-        if mat_mul(mat_mul(u, _copy(m)), v) != d:
-            raise InternalInvariantError("SNF factorization mismatch")
-    return u, d, v
+        _, i, j = min(rest)
+    rows[i].clear()
+    del cols[j]
+    return abs(p)
 
 
-def cokernel(m: IntMatrix, ambient_rank: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """Cokernel of m viewed as a map Z^cols -> Z^rows: returns
-    (free rank, torsion coefficients).  For an empty presentation the
-    ambient rank may be passed explicitly."""
-    rows = len(m)
-    if rows == 0:
-        return (ambient_rank or 0), ()
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(rows, len(d[0]) if d else 0))]
-    free = rows - sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x > 1)
-    return free, torsion
+def _add(a, b, k, i, f) -> None:
+    """a[k] += f * a[i] on sparse rows a, mirrored in their transpose b."""
+    ak = a[k]
+    for c, x in a[i].items():
+        v = ak.get(c, 0) + f * x
+        if v:
+            ak[c] = b[c][k] = v
+        else:
+            del ak[c], b[c][k]
+
+
+def _insert(chain: list[int], x: int) -> None:
+    """Insert x > 1 into invariant factors c_1 | ... | c_t: from the top,
+    each c takes lcm(c, x) and x carries gcd(c, x) down, which sorts
+    every prime's exponents; a carry of 1 leaves the rest as it is."""
+    for k in range(len(chain) - 1, -1, -1):
+        c = chain[k]
+        g = gcd(c, x)
+        chain[k] = c // g * x
+        x = g
+        if x == 1:
+            return
+    chain.insert(0, x)
 
 
 def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":

@@ -32,7 +32,7 @@ from .errors import (
     OrientationConflict,
     SameComponent,
 )
-from .exactlinalg import cokernel, smith_normal_form
+from .exactlinalg import cokernel
 from .linkdiag import (
     CATALOG_MAX_SIZE,
     Arc,
@@ -49,9 +49,9 @@ from .linkdiag import (
 
 __all__ = [
     "FramedLink", "WeightedPartition", "HandleDecomposition", "MixedLink",
-    "KnotifiedLink", "TraceVerdict", "smith_normal_form", "zero_trace",
-    "boundary_h1", "planar_framing_valid", "knotify",
-    "high_order_trace", "surface_partition", "homotopy_sphere_candidate",
+    "KnotifiedLink", "TraceVerdict", "zero_trace", "boundary_h1",
+    "planar_framing_valid", "knotify", "high_order_trace",
+    "surface_partition", "homotopy_sphere_candidate",
     "schoenflies_candidate", "framed_mirror", "trace_json", "trace_dict",
 ]
 
@@ -132,12 +132,7 @@ class HandleDecomposition(namedtuple("HandleDecomposition", "handles q w provena
 
     @cached_property
     def _w_rank(self) -> int:
-        # zero rows, such as every genus row, add nothing to the rank
-        rows = [list(r) for r in self.w if any(r)]
-        if not rows:
-            return 0
-        _, dmat, _ = smith_normal_form(rows)
-        return sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
+        return len(self.w) - cokernel(self.w)[0]
 
     @property
     def b1(self) -> int:
@@ -219,7 +214,7 @@ def boundary_h1(link: FramedLink) -> tuple[int, tuple[int, ...]]:
 
 def _h1_of(trace: HandleDecomposition) -> tuple[int, tuple[int, ...]]:
     """The cokernel of a 0-trace's Q."""
-    return cokernel([list(r) for r in trace.q], ambient_rank=len(trace.q))
+    return cokernel(trace.q)
 
 
 def planar_framing_valid(link: FramedLink) -> bool:
@@ -528,7 +523,7 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
     else:
         failures.append(f"n = {n} < 2k = {2 * k}")
     w = mixed.winding_matrix()
-    rank, torsion = cokernel(w, ambient_rank=k)
+    rank, torsion = cokernel(w)
     if rank == 0 and not torsion:
         checks.append("coker of the winding matrix vanishes "
                       "(abelianized simple connectivity)")

@@ -17,14 +17,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import base_seed
+from ref_snf import identity, mat_mul
 from tracekit import linkdiag as ld
-from tracekit.exactlinalg import (
-    congruence_eliminate,
-    congruence_rows,
-    det_int,
-    identity,
-    mat_mul,
-)
+from tracekit.exactlinalg import congruence_eliminate, congruence_rows, det_int
 from tracekit.invariants import goeritz_data
 
 

@@ -8,6 +8,7 @@ import pytest
 import ref_blocks
 from conftest import random_connected_diagram
 from ref_blocks import knotify_blocks
+from ref_snf import smith_normal_form
 from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
@@ -411,7 +412,7 @@ def _full_snf_rank(w):
     """W's rank from one Smith normal form of the whole matrix."""
     if not w or not w[0]:
         return 0
-    _, dmat, _ = tr.smith_normal_form([list(r) for r in w])
+    _, dmat, _ = smith_normal_form([list(r) for r in w])
     return sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
 
 
