@@ -1,18 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything here works over arbitrary-precision Python ints; no floating
-point is used anywhere.  ``congruence_eliminate`` also takes ``Fraction``
-entries, which it scales to integers first; only that rational branch
-imports ``fractions``, so integer callers never load it.  Matrices are
-lists of lists, row major, and inputs are never mutated.
+point is used anywhere.  Matrices are lists of lists, row major, and
+inputs are never mutated.
 
 ``congruence_rows`` is the symmetric-form kernel: sparse minimum-degree
 congruence elimination of integer rows keyed by any ints (face ids, for
 the Goeritz rows of reports), fraction-free in the manner of Bareiss,
 that yields the signature and the determinant in one pass.
-``congruence_eliminate`` is its dense wrapper, and
-``signature_symmetric`` wraps that with input checks.  ``det_int`` is
-dense Bareiss elimination, kept as the independent determinant.
+``signature_symmetric`` checks a dense integer matrix and hands its
+sparse rows to it.  ``det_int`` is dense Bareiss elimination, kept as
+the independent determinant.
 
 ``cokernel`` is the one engine for boundary H1 and for ranks: it
 diagonalizes sparse rows by row and column operations, keeps no
@@ -22,13 +20,9 @@ framing) costs the sum of its blocks.
 """
 
 import heapq
-from math import gcd, lcm
-from typing import TYPE_CHECKING
+from math import gcd
 
 from .errors import InternalInvariantError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
@@ -141,26 +135,6 @@ def _insert(chain: list[int], x: int) -> None:
         if x == 1:
             return
     chain.insert(0, x)
-
-
-def congruence_eliminate(m) -> "tuple[int, int, int | Fraction]":
-    """Diagonalize a symmetric matrix by exact congruence; returns (pos,
-    neg, det), as ``congruence_rows`` does for its rows.  The input must
-    be square and symmetric; it is not checked here.  A rational input
-    is first multiplied by the lcm of its nonzero entries'
-    denominators, and det is divided back."""
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)}
-    scale = lcm(*(x.denominator for r in rows.values() for x in r.values()))
-    if scale != 1:
-        rows = {i: {j: (x * scale).numerator for j, x in r.items()}
-                for i, r in rows.items()}
-    pos, neg, d = congruence_rows(rows)
-    if scale == 1:
-        return pos, neg, d
-    from fractions import Fraction  # loaded already: the input holds Fractions
-
-    det = Fraction(d, scale ** len(m))
-    return pos, neg, det.numerator if det.denominator == 1 else det
 
 
 def congruence_rows(rows: dict[int, dict[int, int]]) -> tuple[int, int, int]:
@@ -276,17 +250,20 @@ def congruence_rows(rows: dict[int, dict[int, int]]) -> tuple[int, int, int]:
     return pos, neg, d
 
 
-def signature_symmetric(m) -> int:
-    """Signature of a symmetric matrix over Q, by exact congruence
-    diagonalization (``congruence_eliminate``)."""
+def signature_symmetric(m: IntMatrix) -> int:
+    """Signature of a symmetric integer matrix, by exact congruence
+    diagonalization of its sparse rows (``congruence_rows``)."""
     n = len(m)
     if n == 0:
         return 0
     if any(len(row) != n for row in m):
         raise ValueError("signature of a non-square matrix")
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError("signature of a matrix with non-integer entries")
     for i in range(n):
         for j in range(i):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    pos, neg, _ = congruence_eliminate(m)
+    pos, neg, _ = congruence_rows(
+        {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m)})
     return pos - neg

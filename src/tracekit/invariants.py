@@ -13,10 +13,11 @@ checks reports independently of the congruence kernel.
 For connected alternating diagrams the concordance invariant tau is
 (l - 1 - sigma)/2, calibrated so the right-handed trefoil has tau = 1;
 it bounds the slice genus via tau <= g4 + l - 1, which is the engine
-behind the planar-surface obstruction reports.
+behind the planar-surface obstruction reports.  A report is an
+``ObstructionReport``; ``as_dict`` gives the plain dict that the CLI
+alone renders as JSON or tables.
 """
 
-import json
 from operator import eq
 from typing import NamedTuple
 
@@ -313,9 +314,6 @@ class ObstructionReport(NamedTuple):
             "G4_lb": self.g4_renormalized_lower_bound,
             "verdicts": [v.as_dict() for v in self.verdicts],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionReport:

@@ -665,9 +665,6 @@ def to_json_dict(d: LinkDiagram, framings: list[int] | None = None) -> dict:
     return out
 
 
-_INT_ONLY = {int}
-
-
 def json_int(value, what: str) -> int:
     """A JSON integer: an int that is not a bool.  Floats, strings and
     true/false are malformed, never coerced."""
@@ -678,11 +675,15 @@ def json_int(value, what: str) -> int:
 
 def from_json_dict(data: dict) -> tuple[LinkDiagram, list[int] | None]:
     try:
-        # rows of plain ints pass one type test; any other row is read
-        # entry by entry, so its first bad entry names itself
-        pd = [t if set(map(type, t)) == _INT_ONLY
-              else tuple(json_int(x, "pd entry") for x in t)
-              for t in map(tuple, data["pd"])]
+        pd = data["pd"]
+        # a list of lists of plain ints passes one type test over all its
+        # entries; any other pd is read row by row, entry by entry, so its
+        # first bad row or entry names itself
+        if (type(pd) is list and set(map(type, pd)) <= {list}
+                and set(map(type, chain.from_iterable(pd))) <= {int}):
+            pd = list(map(tuple, pd))
+        else:
+            pd = [tuple(json_int(x, "pd entry") for x in t) for t in map(tuple, pd)]
         nloops = json_int(data.get("loops", 0), "loops")
         name = data.get("name")
         if name is not None and not isinstance(name, str):
@@ -794,22 +795,14 @@ def _same_piece(d: LinkDiagram, a: int, b: int) -> bool:
 
 
 def band_merge(d: LinkDiagram, band: BandSpec) -> LinkDiagram:
-    return _band_merge_full(d, band)[0]
-
-
-def _band_merge_full(d: LinkDiagram, band: BandSpec):
-    """(merged diagram, band-side arcs, old-edge -> new-edge map).  The
-    band-side arcs sit across one section of the band, where a clasping
-    surgery circle fits."""
-    b, arcs, _ = _band_merge_builder(d, band)
-    frozen = b.freeze()
-    emap = dict(b.last_edge_map)
-    return frozen, tuple(emap.get(arc, arc) for arc in arcs), emap
+    return _band_merge_builder(d, band)[0].freeze()
 
 
 def _band_merge_builder(d: LinkDiagram, band: BandSpec):
     """The band merge, unfrozen: (builder, band-side arcs in its ids,
-    whether the band runs through a face to the left of arc_a)."""
+    whether the band runs through a face to the left of arc_a).  The
+    band-side arcs sit across one section of the band, where a clasping
+    surgery circle fits."""
     if not band.coherent:
         raise OrientationConflict("band gluing reverses orientation")
     ca = _component_of_arc(d, band.arc_a, BadComponentIndex)

@@ -13,9 +13,10 @@ knotified inside the one diagram.
 
 Candidate checks (homotopy 4-sphere, Schoenflies) only ever test the
 computable necessary conditions and never claim a diffeomorphism.
+``trace_dict`` is a trace's report as a plain dict; the CLI alone
+renders reports as JSON or tables.
 """
 
-import json
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
@@ -52,7 +53,7 @@ __all__ = [
     "KnotifiedLink", "TraceVerdict", "zero_trace", "boundary_h1",
     "planar_framing_valid", "knotify", "high_order_trace",
     "surface_partition", "homotopy_sphere_candidate",
-    "schoenflies_candidate", "framed_mirror", "trace_json", "trace_dict",
+    "schoenflies_candidate", "framed_mirror", "trace_dict",
 ]
 
 
@@ -311,13 +312,11 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
         if edge_comps:
             return BandSpec(loop_arc, d.components[edge_comps[0]][0])
         return BandSpec(loop_arc, ("loop", loop_comps[1] - n_edge_comps))
-    # components in different connected pieces can always be joined
+    # components in different connected pieces can always be joined: the
+    # first component, to the first later one outside its piece
     reps = [d.components[c][0] for c in edge_comps]
-    for i, e1 in enumerate(reps):
-        for e2 in reps[i + 1:]:
-            if not _same_piece(d, e1, e2):
-                return BandSpec(*sorted((e1, e2)))
-    return None
+    other = next((e for e in reps[1:] if not _same_piece(d, reps[0], e)), None)
+    return None if other is None else BandSpec(*sorted((reps[0], other)))
 
 
 def _knotify_step(d: LinkDiagram, band: BandSpec):
@@ -547,11 +546,6 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def trace_json(h: HandleDecomposition,
-               boundary: tuple[int, tuple[int, ...]] | None = None) -> str:
-    return json.dumps(trace_dict(h, boundary), sort_keys=True)
-
 
 def trace_dict(h: HandleDecomposition,
                boundary: tuple[int, tuple[int, ...]] | None = None) -> dict:

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from tracekit.errors import (
     PreconditionError,
     TracekitError,
 )
-from tracekit.exactlinalg import congruence_eliminate
 
 
 def run(capsys, *argv):
@@ -472,9 +470,12 @@ HOPF_ROW = [4, 1, 3, 2]
     ([None, HOPF_ROW], "bad link JSON: 'NoneType' object is not iterable"),
     # the first bad entry is named even when a later row is no list
     ([[1.5, 4, 2, 3], 5], "pd entry must be an integer, got 1.5"),
+    ([HOPF_ROW, [1, 4, None, 3], None], "pd entry must be an integer, got None"),
+    ([HOPF_ROW, [1, 4, 2, 3], 5], "bad link JSON: 'int' object is not iterable"),
     (7, "bad link JSON: 'int' object is not iterable"),
 ], ids=["bool", "float", "string", "list", "dict-row", "string-row", "int-row",
-        "null-row", "entry-before-int-row", "pd-not-a-list"])
+        "null-row", "entry-before-int-row", "later-entry-before-null-row",
+        "int-row-after-int-rows", "pd-not-a-list"])
 def test_pd_rows_that_are_not_json_integers(tmp_path, capsys, pd, message):
     path = tmp_path / "link.json"
     path.write_text(json.dumps({"pd": pd}))
@@ -815,9 +816,6 @@ def test_cli_start_loads_no_dataclasses_or_fractions():
     assert "tracekit.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "traceback",
                          "linecache", "tokenize", "token", "textwrap"}
-    # the rational branch still imports what it builds
-    _, _, det = congruence_eliminate([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    assert type(det) is Fraction and det == Fraction(1, 6)
 
 
 MIXED_SEQUENCE = [

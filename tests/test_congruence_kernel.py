@@ -1,7 +1,8 @@
 """The integer congruence kernel against the Fraction kernel it replaced.
 
-``congruence_eliminate`` runs fraction-free (symmetric Bareiss) with a
-lazy per-row level.  The reference below is the earlier kernel, which
+The kernel ``congruence_rows`` runs fraction-free (symmetric Bareiss)
+with a lazy per-row level; dense and rational matrices reach it through
+``ref_congruence.congruence_eliminate``.  The reference below is the earlier kernel, which
 did every pivot step in ``Fraction``s, kept verbatim the way
 ``test_flat_core`` keeps the dict-based diagram code; the library must
 give the same (pos, neg, det) on every matrix, Goeritz forms included.
@@ -17,9 +18,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import base_seed
+from ref_congruence import congruence_eliminate
 from ref_snf import identity, mat_mul
 from tracekit import linkdiag as ld
-from tracekit.exactlinalg import congruence_eliminate, congruence_rows, det_int
+from tracekit.exactlinalg import congruence_rows, det_int
 from tracekit.invariants import goeritz_data
 
 

@@ -66,7 +66,7 @@ def test_faces_and_pieces_run_at_most_once_per_freeze(monkeypatch, corpus):
 
 
 def test_surgery_steps_build_no_face_walks_and_no_second_pairing(monkeypatch):
-    guarded = {ld._band_merge_full.__code__, ld._r2_insert_mapped.__code__,
+    guarded = {ld.band_merge.__code__, ld._r2_insert_mapped.__code__,
                tr._knotify_step.__code__, ld._Builder.freeze.__code__}
     calls = {"face_edge_parities": 0, "_pair_corners": 0}
 

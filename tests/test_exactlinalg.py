@@ -2,13 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from ref_congruence import congruence_eliminate
 from ref_snf import identity, is_unimodular, mat_mul, smith_normal_form
-from tracekit.exactlinalg import (
-    cokernel,
-    congruence_eliminate,
-    det_int,
-    signature_symmetric,
-)
+from tracekit.exactlinalg import cokernel, det_int, signature_symmetric
 
 
 def test_snf_identity():
@@ -137,6 +133,19 @@ def test_signature_rejects_asymmetric():
 @pytest.mark.parametrize("m", [[[1, 2]], [[1, 2], [2]], [[1], [2]]])
 def test_signature_rejects_non_square(m):
     with pytest.raises(ValueError):
+        signature_symmetric(m)
+
+
+@pytest.mark.parametrize("m", [
+    [[Fraction(1, 2), 0], [0, 1]],
+    [[1, Fraction(2)], [Fraction(2), 1]],
+    [[1.0, 0], [0, 1]],
+    [[True, 0], [0, 1]],
+], ids=["fraction", "integral-fraction", "float", "bool"])
+def test_signature_rejects_non_integer_entries(m):
+    # the kernel's exact int division would take a rational entry to a
+    # wrong signature without a word
+    with pytest.raises(ValueError, match="non-integer"):
         signature_symmetric(m)
 
 

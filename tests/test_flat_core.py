@@ -344,6 +344,25 @@ def test_direct_band_matches_all_pairs_scan(diagrams):
     assert checked > 300
 
 
+def test_direct_band_across_three_or_more_pieces_matches_all_pairs_scan():
+    """Components in different pieces share no face, so a band between
+    them is the cross-piece fallback; with three or more pieces the scan
+    picks the second of them, not any later one."""
+    rng = random.Random(base_seed() + 9)
+    checked = 0
+    for _ in range(30):
+        d = _split_link(rng, rng.randrange(3, 6))
+        by_piece = {}
+        for c, comp in enumerate(d.components):
+            by_piece.setdefault(d.piece_of[d.corner_edges.index(comp[0]) >> 2], []).append(c)
+        picks = [rng.choice(cs) for cs in by_piece.values()]
+        for k in range(3, len(picks) + 1):
+            for subset in itertools.combinations(picks, k):
+                assert tr._direct_band(d, set(subset)) == ref_direct_band(d, set(subset))
+                checked += 1
+    assert checked > 30
+
+
 # -- errors --------------------------------------------------------------------------
 
 def _direct(*tuples):

@@ -3,10 +3,11 @@
 By Gordon-Litherland either checkerboard shading gives sigma and |det|,
 so a report eliminates one shading per connected piece, read off the
 diagram's own faces.  Here the other shading is audited: both shadings
-of ``goeritz_data``, run through the dense ``congruence_eliminate``,
-must give the report's (sigma, |det|) on every ``invariants`` item of
-the alternating and braids benchmarks (seeds 1-6), on the catalog and
-on seeded diagrams, where the Seifert engine checks sigma as well.
+of ``goeritz_data``, run through the dense ``congruence_eliminate`` of
+``ref_congruence``, must give the report's (sigma, |det|) on every
+``invariants`` item of the alternating and braids benchmarks (seeds
+1-6), on the catalog and on seeded diagrams, where the Seifert engine
+checks sigma as well.
 Split reports are checked against the pieces frozen as diagrams of
 their own (``ref_split.split_pieces``).  The benchmark directory is
 only read, as in ``test_golden_reports``.
@@ -19,6 +20,7 @@ import pytest
 import tracekit.exactlinalg as la
 import tracekit.invariants as inv
 from conftest import base_seed, random_braid_diagram, random_connected_diagram
+from ref_congruence import congruence_eliminate
 from ref_split import split_pieces
 from test_golden_reports import GOLDEN_SEED, run_item
 from test_golden_reports import corpus as bench_corpus
@@ -35,7 +37,7 @@ def shading_values(d):
         return [(0, 1)]
     values = []
     for gd in inv.goeritz_data(d):
-        pos, neg, det = la.congruence_eliminate([list(r) for r in gd.matrix])
+        pos, neg, det = congruence_eliminate([list(r) for r in gd.matrix])
         values.append((-(pos - neg + gd.correction), abs(det)))
     return values
 
@@ -105,7 +107,9 @@ def test_reports_eliminate_one_shading_per_piece(monkeypatch, tmp_path):
     congruence_rows = inv.congruence_rows
     monkeypatch.setattr(inv, "congruence_rows", counting)
     monkeypatch.setattr(inv, "goeritz_data", refused)
-    monkeypatch.setattr(la, "congruence_eliminate", refused)
+    for name in ("signature_symmetric", "det_int"):
+        monkeypatch.setattr(inv, name, refused)
+        monkeypatch.setattr(la, name, refused)
     for k, item in enumerate(items):
         assert run_item(item, tmp_path / f"item{k}")[0] == 0
     assert len(calls) == pieces == len(items)

@@ -526,7 +526,8 @@ def test_schoenflies_knot_case_flag():
 
 def test_trace_json_schema():
     link = framed("hopf", "+", [0, 0])
-    payload = tr.trace_json(tr.zero_trace(link), boundary=tr.boundary_h1(link))
+    payload = json.dumps(tr.trace_dict(tr.zero_trace(link), boundary=tr.boundary_h1(link)),
+                         sort_keys=True)
     data = json.loads(payload)
     assert set(data) == {"construction", "handles", "Q", "W", "chi", "b1",
                          "b2", "boundary_h1", "verdicts"}
