@@ -14,6 +14,12 @@ cannot be written.  Identical inputs produce byte-identical reports;
 batch rows follow manifest order, and a batch exits 4 when any row
 failed outside the input and precondition bands.
 
+Every command reads its link through ``_load``: a ``--catalog`` entry,
+else a link file given by position (link JSON or PD text), and ``batch``
+each manifest entry the same way.  ``_read`` is the one place a file is
+opened for reading, ``linkdiag.decode_json`` the one JSON decoder, and
+``_framings`` picks the framings of the framed commands.
+
 ``main(argv)`` returns the exit code, usage errors and ``--help``
 included, and may be called any number of times in one process: the
 argument parser is built once per process and reused, and no call's
@@ -30,7 +36,7 @@ import json
 import sys
 
 from . import linkdiag, traces
-from .errors import BANDS, InputError, InternalInvariantError, MalformedPD
+from .errors import BANDS, InputError, InternalInvariantError
 from .invariants import obstruction_report
 from .linkdiag import BandSpec, LinkDiagram, catalog, json_int, parse_pd
 
@@ -44,47 +50,42 @@ def _load_catalog(entry: str) -> LinkDiagram:
     return catalog(name, param if colon else None)
 
 
-def _load_link(args) -> tuple[LinkDiagram, list[int] | None, dict]:
-    if args.catalog is not None:
-        return _load_catalog(args.catalog), None, {}
-    if args.input is None:
-        raise InputError("need an input file or --catalog")
-    return _read_link(args.input)
-
-
-def _read_link(path: str) -> tuple[LinkDiagram, list[int] | None, dict]:
-    """(diagram, JSON framings, JSON object) from a file holding link
-    JSON, which starts with ``{``, or a PD code in text form."""
+def _read(path: str, what: str = "") -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _load(entry: str | None, path: str | None) -> tuple[LinkDiagram, list[int] | None, dict]:
+    """(diagram, JSON framings, JSON object) of catalog ``entry``, else of
+    the file at ``path``: link JSON, which starts with ``{``, or a PD code
+    in text form."""
+    if entry is not None:
+        return _load_catalog(entry), None, {}
+    if path is None:
+        raise InputError("need an input file or --catalog")
+    text = _read(path)
     if not text.lstrip().startswith("{"):
         return parse_pd(text), None, {}
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
-        raise MalformedPD(f"bad JSON: {exc}") from exc
+    data = linkdiag.decode_json(text)
     return (*linkdiag.from_json_dict(data), data)
 
 
-def _parse_framings(text: str) -> tuple[int, ...]:
+def _framings(args, framings: list[int] | None, circles: int) -> tuple[int, ...]:
+    """``--framings``, else the JSON ``framings``, else 0 on each circle."""
+    if args.framings is None:
+        return tuple(framings) if framings is not None else (0,) * circles
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in args.framings.split(","))
     except ValueError as exc:
-        raise InputError(f"bad framings {text!r}") from exc
+        raise InputError(f"bad framings {args.framings!r}") from exc
 
 
 def _load_framed(args) -> traces.FramedLink:
-    """The input link framed by ``--framings``, else by its JSON
-    framings, else by 0 on every component."""
-    d, framings, _ = _load_link(args)
-    if args.framings is not None:
-        framings = _parse_framings(args.framings)
-    if framings is None:
-        framings = [0] * d.num_components
-    return traces.FramedLink(d, tuple(framings))
+    d, framings, _ = _load(args.catalog, args.input)
+    return traces.FramedLink(d, _framings(args, framings, d.num_components))
 
 
 def _parse_partition(text: str, components: int) -> traces.WeightedPartition:
@@ -103,10 +104,7 @@ def _parse_partition(text: str, components: int) -> traces.WeightedPartition:
 
 
 def _parse_bands(text: str) -> list[BandSpec]:
-    try:
-        rows = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
-        raise InputError(f"bad bands JSON: {exc}") from exc
+    rows = linkdiag.decode_json(text, "bands JSON", InputError)
 
     def arc(x, row):
         if isinstance(x, list):
@@ -160,14 +158,14 @@ def _as_table(data: dict, indent: str = "") -> str:
 # -- commands ----------------------------------------------------------------
 
 def _cmd_parse(args) -> dict:
-    d, framings, _ = _load_link(args)
+    d, framings, _ = _load(args.catalog, args.input)
     if framings is not None:
         traces.FramedLink(d, tuple(framings))  # one framing per component
     return linkdiag.to_json_dict(d, framings)
 
 
 def _cmd_invariants(args) -> dict:
-    return obstruction_report(_load_link(args)[0]).as_dict()
+    return obstruction_report(_load(args.catalog, args.input)[0]).as_dict()
 
 
 def _cmd_trace(args) -> dict:
@@ -209,17 +207,13 @@ def _cmd_check_sphere(args) -> dict:
 
 
 def _cmd_check_schoenflies(args) -> dict:
-    d, framings, data = _load_link(args)
+    d, framings, data = _load(args.catalog, args.input)
     try:
         dotted = tuple(json_int(x, "dotted index") for x in data.get("dotted", ()))
     except TypeError as exc:
         raise InputError(f"bad dotted list: {exc}") from exc
-    n_attach = d.num_components - len(dotted)
-    if args.framings is not None:
-        framings = _parse_framings(args.framings)
-    if framings is None:
-        framings = [0] * n_attach
-    mixed = traces.MixedLink(d, dotted, tuple(framings))
+    framings = _framings(args, framings, d.num_components - len(dotted))
+    mixed = traces.MixedLink(d, dotted, framings)
     verdict = traces.schoenflies_candidate(mixed)
     return {
         "construction": "schoenflies-candidate",
@@ -237,13 +231,8 @@ def _cmd_catalog(args) -> dict:
 
 
 def _cmd_batch(args) -> dict:
-    try:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.loads(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError is a ValueError
-        raise InputError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # as in linkdiag.loads
-        raise InputError(f"bad manifest JSON: {exc}") from exc
+    manifest = linkdiag.decode_json(_read(args.manifest, "manifest "),
+                                    "manifest JSON", InputError)
     if isinstance(manifest, dict):
         manifest = manifest.get("entries")  # an object without them is malformed
     if not isinstance(manifest, list):
@@ -276,12 +265,11 @@ def _cmd_batch(args) -> dict:
 def _load_entry(entry) -> LinkDiagram:
     if not isinstance(entry, dict):
         raise InputError(f"manifest entry {entry!r} is not an object")
-    if "catalog" in entry:
-        return _load_catalog(str(entry["catalog"]))
-    path = entry.get("file")
-    if not isinstance(path, str):
+    if not isinstance(entry.get("catalog", ""), str):
+        raise InputError(f"manifest entry {entry!r}: catalog must be a string")
+    if "catalog" not in entry and not isinstance(entry.get("file"), str):
         raise InputError(f"manifest entry {entry!r} names no catalog or file")
-    return _read_link(path)[0]
+    return _load(entry.get("catalog"), entry.get("file"))[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ import re
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, count, groupby, repeat
+from math import gcd
 from typing import NamedTuple
 
 from .errors import (
@@ -704,14 +705,19 @@ def dumps(d: LinkDiagram, framings: list[int] | None = None) -> str:
     return json.dumps(to_json_dict(d, framings), sort_keys=True)
 
 
-def loads(text: str) -> tuple[LinkDiagram, list[int] | None]:
+def decode_json(text: str, what: str = "JSON", error: type[InputError] = MalformedPD):
+    """The value of JSON ``text``; text that does not decode raises
+    ``error("bad <what>: ...")``, in the input band."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     # JSONDecodeError is a ValueError, as is an integer longer than
     # sys.get_int_max_str_digits(); deep nesting is a RecursionError
     except (ValueError, RecursionError) as exc:
-        raise MalformedPD(f"bad JSON: {exc}") from exc
-    return from_json_dict(data)
+        raise error(f"bad {what}: {exc}") from exc
+
+
+def loads(text: str) -> tuple[LinkDiagram, list[int] | None]:
+    return from_json_dict(decode_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1203,7 @@ def rational_link(p: int, q: int, name: str | None = None, flip: bool = False) -
     ``flip`` mirrors every crossing.  Orientations are inferred after
     closing, so use ``reverse_component`` to pin a relative orientation.
     """
-    if p <= 0 or q <= 0 or q >= p:
+    if p <= 0 or q <= 0 or q >= p or gcd(p, q) != 1:
         raise UnknownCatalogEntry(f"bad 2-bridge fraction {p}/{q}")
     cf = _positive_continued_fraction(p, q)
     next_edge = 1

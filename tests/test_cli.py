@@ -315,6 +315,72 @@ HOPF_JSON = {"pd": [[1, 4, 2, 3], [4, 1, 3, 2]]}
 TREFOIL_AND_LOOP = {"pd": [[4, 2, 5, 1], [6, 4, 1, 3], [2, 6, 3, 5]], "loops": 1}
 
 
+# -- which input and which framings a command reads ----------------------------
+
+def test_catalog_wins_over_a_positional_file(tmp_path, capsys):
+    path = tmp_path / "trefoil.pd"
+    path.write_text(TREFOIL_TEXT)
+    for command in ("parse", "invariants", "trace", "check-schoenflies"):
+        assert run(capsys, command, str(path), "--catalog", "hopf:+") == \
+            run(capsys, command, "--catalog", "hopf:+")
+
+
+@pytest.mark.parametrize("command", ["trace", "knotify", "check-sphere"])
+def test_framings_option_wins_over_json_framings(tmp_path, capsys, command):
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps({**HOPF_JSON, "framings": [0, 0]}))
+    code, from_option = run(capsys, command, str(path), "--framings=-1,-1")
+    assert code == 0 and from_option != run(capsys, command, str(path))[1]
+    path.write_text(json.dumps({**HOPF_JSON, "framings": [-1, -1]}))
+    assert run(capsys, command, str(path)) == (0, from_option)
+
+
+def test_check_schoenflies_framings_option_wins_and_defaults_per_attaching_circle(
+        tmp_path, capsys):
+    """The report does not depend on the framings, only on their count
+    matching the attaching circles: three components, one dotted, two
+    0-framed attaching circles unless ``--framings`` or the JSON says
+    otherwise, and ``--framings`` first."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"pd": [], "loops": 3, "dotted": [1]}))
+    code, out = run(capsys, "check-schoenflies", str(path))
+    assert code == 0
+    assert json.loads(out)["attaching"] == [0, 2]
+    assert run(capsys, "check-schoenflies", str(path), "--framings", "0,0,0") == (2, "")
+    path.write_text(json.dumps({"pd": [], "loops": 3, "dotted": [1], "framings": [0]}))
+    assert run(capsys, "check-schoenflies", str(path)) == (2, "")
+    assert run(capsys, "check-schoenflies", str(path), "--framings", "1,0") == (0, out)
+
+
+NOT_A_STRING = ": catalog must be a string"
+NO_SOURCE = " names no catalog or file"
+
+
+@pytest.mark.parametrize("entry, why", [
+    ({"catalog": None}, NOT_A_STRING),
+    ({"catalog": 5}, NOT_A_STRING),
+    ({"catalog": ["hopf:+"]}, NOT_A_STRING),
+    ({"catalog": None, "file": "hopf.json"}, NOT_A_STRING),
+    ({"file": 5}, NO_SOURCE),
+    ({"file": None}, NO_SOURCE),
+], ids=["catalog-null", "catalog-int", "catalog-list", "catalog-null-with-file",
+        "file-int", "file-null"])
+def test_batch_catalog_and_file_must_be_strings(tmp_path, capsys, monkeypatch, entry, why):
+    """A manifest's ``catalog`` or ``file`` that is not a string is an
+    input-band row, never coerced with ``str()`` into an entry name; a
+    string ``catalog`` is read whatever ``file`` holds."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hopf.json").write_text(json.dumps(HOPF_JSON))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([entry, {"catalog": "hopf:+", "file": 5}]))
+    code, out = run(capsys, "batch", str(manifest))
+    assert code == 0
+    data = json.loads(out)
+    assert [r["ok"] for r in data["rows"]] == [False, True]
+    assert data["rows"][0]["error"] == f"InputError: manifest entry {entry!r}{why}"
+    assert data["summary"]["by_band"] == {"input": 1, "precondition": 0, "internal": 0}
+
+
 @pytest.mark.parametrize("argv, files, code", [
     (["invariants", "--catalog", "twist_family:abc"], {}, 2),
     (["knotify", "--catalog", "hopf:+", "--bands", '[[["loop","x"],1]]'], {}, 2),
@@ -635,6 +701,7 @@ def test_hostile_manifest_and_manifest_entry(tmp_path, capsys, hostile):
     assert (code, err) == (0, "")
     data = json.loads(out)
     assert [r["ok"] for r in data["rows"]] == [False, True]
+    assert data["rows"][0]["error"].startswith("MalformedPD: bad JSON: ")
     assert data["summary"]["by_band"] == {"input": 1, "precondition": 0, "internal": 0}
 
 

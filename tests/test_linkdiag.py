@@ -275,6 +275,15 @@ def test_catalog_unknown():
         ld.catalog("hopf", "x")
 
 
+@pytest.mark.parametrize("p, q", [(4, 2), (6, 4), (9, 3), (10, 5), (6, 3)])
+def test_rational_link_refuses_fractions_that_are_not_coprime(p, q):
+    """A 2-bridge link of fraction p/q has determinant p, so a fraction
+    not in lowest terms would give another link: (4, 2) the Hopf link,
+    (6, 4) and (9, 3) a knot of determinant 3."""
+    with pytest.raises(UnknownCatalogEntry, match=f"^bad 2-bridge fraction {p}/{q}$"):
+        ld.rational_link(p, q)
+
+
 # -- Reidemeister moves ---------------------------------------------------------
 
 def test_r1_on_loop():
