@@ -2,7 +2,10 @@
 
 Every command is one pipeline: a ``_cmd_*`` function computes its report
 as a dict and writes nothing, and ``main`` alone renders it (``--format``),
-writes it (``--out`` or stdout) and picks the exit code.
+writes it (``--out`` or stdout) and picks the exit code.  The library
+returns records (named tuples); the ``_shape_*`` and ``_cmd_*`` functions
+here alone know the report keys, but for the link file format
+(``linkdiag.to_json_dict``) that ``parse`` and ``catalog`` report.
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 4 internal invariant breach or any exception from outside the library's
@@ -25,9 +28,6 @@ included, and may be called any number of times in one process: the
 argument parser is built once per process and reused, and no call's
 options carry over to the next.  ``build_parser()`` still returns a
 fresh parser.
-
-The test suite honors TRACEKIT_SEED for reproducing randomized property
-checks.
 """
 
 import argparse
@@ -37,7 +37,7 @@ import sys
 
 from . import linkdiag, traces
 from .errors import BANDS, InputError, InternalInvariantError
-from .invariants import obstruction_report
+from .invariants import ObstructionReport, obstruction_report
 from .linkdiag import BandSpec, LinkDiagram, catalog, json_int, parse_pd
 
 
@@ -54,7 +54,7 @@ def _read(path: str, what: str = "") -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable path, or not UTF-8
         raise InputError(f"cannot read {what}{path}: {exc}") from exc
 
 
@@ -132,9 +132,9 @@ def _emit(args, report: dict):
         sys.stdout.write(payload)
         return
     try:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 
 
@@ -155,6 +155,46 @@ def _as_table(data: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+# -- reports -----------------------------------------------------------------
+
+def _shape_obstruction(r: ObstructionReport) -> dict:
+    # batch tables print this dict with str(), so its order is output too
+    return {
+        "link": r.name,
+        "l": r.components,
+        "sigma": r.sigma,
+        "det": r.det,
+        "tau": r.tau,
+        "g4_lb": r.g4_lower_bound,
+        "chi4_ub": r.chi4_upper_bound,
+        "G4_lb": r.g4_renormalized_lower_bound,
+        "verdicts": [{"claim": v.claim, "rule": v.rule, "anchor": v.anchor}
+                     for v in r.verdicts],
+    }
+
+
+def _shape_h1(boundary: tuple[int, tuple[int, ...]]) -> dict:
+    return {"rank": boundary[0], "torsion": list(boundary[1])}
+
+
+def _shape_trace(h: traces.HandleDecomposition, boundary_h1: dict | None) -> dict:
+    return {
+        "construction": h.provenance,
+        "handles": list(h.handles),
+        "Q": [list(r) for r in h.q],
+        "W": [list(r) for r in h.w],
+        "chi": h.chi,
+        "b1": h.b1,
+        "b2": h.b2,
+        "boundary_h1": boundary_h1,
+        "verdicts": [],
+    }
+
+
+def _shape_candidate(v: traces.TraceVerdict) -> dict:
+    return {"status": v.status, "checks": list(v.checks), "data": dict(v.data)}
+
+
 # -- commands ----------------------------------------------------------------
 
 def _cmd_parse(args) -> dict:
@@ -165,16 +205,16 @@ def _cmd_parse(args) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
-    return obstruction_report(_load(args.catalog, args.input)[0]).as_dict()
+    return _shape_obstruction(obstruction_report(_load(args.catalog, args.input)[0]))
 
 
 def _cmd_trace(args) -> dict:
     link = _load_framed(args)
     if args.partition is not None:
         part = _parse_partition(args.partition, link.components)
-        return traces.trace_dict(traces.high_order_trace(link, part))
+        return _shape_trace(traces.high_order_trace(link, part), None)
     h = traces.zero_trace(link)
-    return traces.trace_dict(h, boundary=traces._h1_of(h))
+    return _shape_trace(h, _shape_h1(traces._h1_of(h)))
 
 
 def _cmd_knotify(args) -> dict:
@@ -196,13 +236,12 @@ def _cmd_knotify(args) -> dict:
 def _cmd_check_sphere(args) -> dict:
     link = _load_framed(args)
     trace = traces.zero_trace(link)
-    rank, torsion = traces._h1_of(trace)
-    verdict = traces._sphere_verdict(link, trace, (rank, torsion))
+    boundary = traces._h1_of(trace)
     return {
         "construction": "homotopy-sphere-candidate",
-        "verdict": verdict.as_dict(),
+        "verdict": _shape_candidate(traces._sphere_verdict(link, trace, boundary)),
         "handles": list(trace.handles),
-        "boundary_h1": {"rank": rank, "torsion": list(torsion)},
+        "boundary_h1": _shape_h1(boundary),
     }
 
 
@@ -214,13 +253,12 @@ def _cmd_check_schoenflies(args) -> dict:
         raise InputError(f"bad dotted list: {exc}") from exc
     framings = _framings(args, framings, d.num_components - len(dotted))
     mixed = traces.MixedLink(d, dotted, framings)
-    verdict = traces.schoenflies_candidate(mixed)
     return {
         "construction": "schoenflies-candidate",
         "dotted": list(dotted),
         "attaching": list(mixed.attaching),
         "W": mixed.winding_matrix(),
-        "verdict": verdict.as_dict(),
+        "verdict": _shape_candidate(traces.schoenflies_candidate(mixed)),
     }
 
 
@@ -244,8 +282,7 @@ def _cmd_batch(args) -> dict:
                  if isinstance(entry, dict) else "?")
         try:
             report = obstruction_report(_load_entry(entry), name=str(label))
-            rows.append({"entry": str(label), "ok": True,
-                         "report": report.as_dict()})
+            rows.append({"entry": str(label), "ok": True, "report": _shape_obstruction(report)})
         except Exception as exc:  # noqa: BLE001  - isolate per-entry failures
             # anything outside the input and precondition bands is a bug
             band = exc.band if isinstance(exc, BANDS) else InternalInvariantError.band

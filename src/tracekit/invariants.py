@@ -14,8 +14,8 @@ For connected alternating diagrams the concordance invariant tau is
 (l - 1 - sigma)/2, calibrated so the right-handed trefoil has tau = 1;
 it bounds the slice genus via tau <= g4 + l - 1, which is the engine
 behind the planar-surface obstruction reports.  A report is an
-``ObstructionReport``; ``as_dict`` gives the plain dict that the CLI
-alone renders as JSON or tables.
+``ObstructionReport`` record; the CLI alone shapes it into a report dict
+and renders that as JSON or tables.
 """
 
 from operator import eq
@@ -188,10 +188,14 @@ def tau_alternating(d: LinkDiagram) -> int:
     return _tau(d.num_components, signature_gl(d))
 
 
+def _g4_bound(tau: int, ell: int) -> int:
+    return max(0, tau - ell + 1)
+
+
 def g4_lower_bound(d: LinkDiagram) -> int:
     """max(0, tau - l + 1): a lower bound for the slice genus, from the
     bound tau <= g4 + l - 1."""
-    return max(0, tau_alternating(d) - d.num_components + 1)
+    return _g4_bound(tau_alternating(d), d.num_components)
 
 
 def chi4_g4_convert(ell: int, g_renormalized: int | None = None,
@@ -225,9 +229,6 @@ class Verdict(NamedTuple):
     claim: str
     rule: str
     anchor: str
-
-    def as_dict(self) -> dict:
-        return {"claim": self.claim, "rule": self.rule, "anchor": self.anchor}
 
 
 class PlanarVerdict(NamedTuple):
@@ -263,7 +264,7 @@ def _planar_verdict(d: LinkDiagram, tau: int | None) -> PlanarVerdict:
                     "tau-hypotheses", "tau = (l - 1 - sigma)/2 on alternating links"),
         ))
     ell = d.num_components
-    g4lb = max(0, tau - ell + 1)
+    g4lb = _g4_bound(tau, ell)
     base = (
         Verdict("connected alternating diagram: treated as non-split",
                 "connected-alternating-nonsplit",
@@ -302,19 +303,6 @@ class ObstructionReport(NamedTuple):
     g4_renormalized_lower_bound: int
     verdicts: tuple[Verdict, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "link": self.name,
-            "l": self.components,
-            "sigma": self.sigma,
-            "det": self.det,
-            "tau": self.tau,
-            "g4_lb": self.g4_lower_bound,
-            "chi4_ub": self.chi4_upper_bound,
-            "G4_lb": self.g4_renormalized_lower_bound,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-        }
-
 
 def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionReport:
     """Full invariant and verdict report; disconnected diagrams are
@@ -334,7 +322,7 @@ def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionRe
             "sigma additive and det multiplicative under split union "
             "(a split link's own determinant vanishes)"))
     if tau is not None:
-        g4lb = max(0, tau - ell + 1)
+        g4lb = _g4_bound(tau, ell)
         verdicts.append(Verdict(f"tau = {tau}", "tau-from-signature",
                                 "tau = (l - 1 - sigma)/2"))
     else:
@@ -343,7 +331,7 @@ def obstruction_report(d: LinkDiagram, name: str | None = None) -> ObstructionRe
                                 "tau-hypotheses",
                                 "tau needs a connected alternating diagram"))
     g4_renorm = 1 if g4lb >= 1 else 0
-    chi4_ub = ell - 2 * g4_renorm
+    chi4_ub = chi4_g4_convert(ell, g_renormalized=g4_renorm)[0]
     verdicts.append(Verdict(
         f"chi4 <= {chi4_ub} (and chi4 <= l = {ell} always, with equality "
         f"iff slice)",

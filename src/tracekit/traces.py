@@ -13,8 +13,8 @@ knotified inside the one diagram.
 
 Candidate checks (homotopy 4-sphere, Schoenflies) only ever test the
 computable necessary conditions and never claim a diffeomorphism.
-``trace_dict`` is a trace's report as a plain dict; the CLI alone
-renders reports as JSON or tables.
+Traces and verdicts are records; the CLI alone shapes them into report
+dicts and renders those as JSON or tables.
 """
 
 from collections import namedtuple
@@ -53,7 +53,7 @@ __all__ = [
     "KnotifiedLink", "TraceVerdict", "zero_trace", "boundary_h1",
     "planar_framing_valid", "knotify", "high_order_trace",
     "surface_partition", "homotopy_sphere_candidate",
-    "schoenflies_candidate", "framed_mirror", "trace_dict",
+    "schoenflies_candidate", "framed_mirror",
 ]
 
 
@@ -459,10 +459,6 @@ class TraceVerdict(NamedTuple):
     checks: tuple[str, ...]
     data: tuple[tuple[str, object], ...] = ()
 
-    def as_dict(self) -> dict:
-        return {"status": self.status, "checks": list(self.checks),
-                "data": {k: v for k, v in self.data}}
-
 
 def homotopy_sphere_candidate(link: FramedLink) -> TraceVerdict:
     """Necessary conditions for the closed-up trace to be a homotopy
@@ -532,34 +528,10 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
         return TraceVerdict(FAIL, tuple(checks + failures))
     chi_closed = 1 - k + n - (n - k) + 1
     checks.append(f"closed-up Euler characteristic with {n - k} 3-handles: {chi_closed}")
-    flags = []
     if k == 0 and n == 1:
-        flags.append("knot case: only the unknot qualifies")
-    checks.extend(flags)
+        checks.append("knot case: only the unknot qualifies")
     checks.append("necessary conditions passed; no diffeomorphism asserted")
     return TraceVerdict(
         PASS_NECESSARY, tuple(checks),
         (("chi_closed", chi_closed), ("three_handles", n - k)),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def trace_dict(h: HandleDecomposition,
-               boundary: tuple[int, tuple[int, ...]] | None = None) -> dict:
-    return {
-        "construction": h.provenance,
-        "handles": list(h.handles),
-        "Q": [list(r) for r in h.q],
-        "W": [list(r) for r in h.w],
-        "chi": h.chi,
-        "b1": h.b1,
-        "b2": h.b2,
-        "boundary_h1": (
-            {"rank": boundary[0], "torsion": list(boundary[1])}
-            if boundary is not None else None
-        ),
-        "verdicts": [],
-    }

@@ -717,6 +717,62 @@ def test_hostile_json_in_loads_is_malformed_pd(hostile):
         ld.loads('{"pd": %s}' % hostile)
 
 
+NUL = "a\x00b"  # a path ``open`` refuses with ValueError, not OSError
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["parse", NUL], f"input error: cannot read {NUL}: "),
+    (["batch", NUL], f"input error: cannot read manifest {NUL}: "),
+    (["catalog", "--out", NUL], f"input error: cannot write {NUL}: "),
+], ids=["input", "manifest", "out"])
+def test_a_path_with_a_nul_exits_2(capsys, argv, message):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_a_manifest_file_with_a_nul_is_an_input_row(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"file": NUL}, {"catalog": "hopf:+"}]))
+    code = cli.main(["batch", str(manifest)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["rows"][0]["error"].startswith(f"InputError: cannot read {NUL}: ")
+    assert [r["ok"] for r in data["rows"]] == [False, True]
+    assert data["summary"]["by_band"] == {"input": 1, "precondition": 0, "internal": 0}
+
+
+@pytest.mark.parametrize("entry, row, band", [
+    # the path cannot be encoded, so it cannot be opened
+    ({"file": "caf\u00e9.json"}, "entry=caf\u00e9.json  error=InputError: cannot read ",
+     "input"),
+    # the path is never opened, but the label still goes to --out
+    ({"catalog": "caf\u00e9"}, "entry=caf\u00e9  error=UnknownCatalogEntry: ", "precondition"),
+], ids=["file", "catalog"])
+def test_non_ascii_batch_row_under_an_ascii_locale(tmp_path, entry, row, band):
+    """Under an ASCII locale and filesystem encoding a non-ASCII manifest
+    path is an input-band row, and ``--out`` is written in UTF-8, the
+    encoding input files are read in."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    proc = subprocess.run([sys.executable, "-m", "tracekit", "batch", "manifest.json",
+                           "--format", "table", "--out", "report.txt"],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert f"  - {row}" in report
+    assert f"    {band}: 1\n" in report
+
+
 # -- options and exit codes ---------------------------------------------------
 
 LINK_COMMANDS = ("parse", "invariants", "trace", "knotify", "check-sphere",

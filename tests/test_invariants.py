@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_connected_diagram
 from ref_split import split_pieces
+from tracekit import cli
 from tracekit import linkdiag as ld
 from tracekit.errors import (
     DisconnectedDiagram,
@@ -213,9 +214,15 @@ def test_invariance_under_moves(rng):
 
 # -- reports ------------------------------------------------------------------------
 
-def test_report_schema():
-    rep = obstruction_report(ld.catalog("twist_family", 0))
-    data = rep.as_dict()
+def invariants_json(capsys, entry: str) -> str:
+    """The ``invariants`` report of a catalog entry, as the CLI prints it."""
+    assert cli.main(["invariants", "--catalog", entry]) == 0
+    return capsys.readouterr().out
+
+
+def test_report_schema(capsys):
+    payload = invariants_json(capsys, "twist_family:0")
+    data = json.loads(payload)
     assert set(data) == {"link", "l", "sigma", "det", "tau", "g4_lb",
                          "chi4_ub", "G4_lb", "verdicts"}
     assert data["l"] == 2 and data["sigma"] == -3 and data["tau"] == 2
@@ -225,7 +232,7 @@ def test_report_schema():
         assert set(verdict) == {"claim", "rule", "anchor"}
         assert verdict["rule"]
         assert verdict["anchor"]
-    json.loads(json.dumps(rep.as_dict(), sort_keys=True))
+    assert json.dumps(data, sort_keys=True) + "\n" == payload
 
 
 def test_report_split_combination():
@@ -246,9 +253,9 @@ def test_split_pieces():
     assert sorted(len(p.crossings) for p in pieces) == [0, 3]
 
 
-def test_report_determinism():
-    a = json.dumps(obstruction_report(ld.catalog("borromean")).as_dict(), sort_keys=True)
-    b = json.dumps(obstruction_report(ld.catalog("borromean")).as_dict(), sort_keys=True)
+def test_report_determinism(capsys):
+    a = invariants_json(capsys, "borromean")
+    b = invariants_json(capsys, "borromean")
     assert a == b
 
 

@@ -524,10 +524,9 @@ def test_schoenflies_knot_case_flag():
 
 # -- serialization -------------------------------------------------------------------------
 
-def test_trace_json_schema():
-    link = framed("hopf", "+", [0, 0])
-    payload = json.dumps(tr.trace_dict(tr.zero_trace(link), boundary=tr.boundary_h1(link)),
-                         sort_keys=True)
+def test_trace_json_schema(capsys):
+    assert cli.main(["trace", "--catalog", "hopf:+", "--framings", "0,0"]) == 0
+    payload = capsys.readouterr().out
     data = json.loads(payload)
     assert set(data) == {"construction", "handles", "Q", "W", "chi", "b1",
                          "b2", "boundary_h1", "verdicts"}
