@@ -253,12 +253,13 @@ def _cmd_check_schoenflies(args) -> dict:
         raise InputError(f"bad dotted list: {exc}") from exc
     framings = _framings(args, framings, d.num_components - len(dotted))
     mixed = traces.MixedLink(d, dotted, framings)
+    w = mixed.winding_matrix()
     return {
         "construction": "schoenflies-candidate",
         "dotted": list(dotted),
         "attaching": list(mixed.attaching),
-        "W": mixed.winding_matrix(),
-        "verdict": _shape_candidate(traces.schoenflies_candidate(mixed)),
+        "W": w,
+        "verdict": _shape_candidate(traces._schoenflies_verdict(mixed, w)),
     }
 
 

@@ -191,21 +191,37 @@ class BandSpec(namedtuple("BandSpec", "arc_a arc_b framing coherent")):
 _SLOT_OUT = ((False, False, True, True), (False, True, True, False))
 
 
-def _pair_corners(edges: list[int]) -> list[int]:
+def _pair_corners(edges: list[int], order: list[int] | None = None) -> list[int]:
     """Corner -> the corner at the other end of its edge, given each
-    corner's edge id; every id must be used exactly twice."""
-    partner = [-1] * len(edges)
-    first: dict[int, int] = {}
-    for x, e in enumerate(edges):
-        y = first.setdefault(e, x)
-        if y != x:
-            if partner[y] != -1:
-                raise InconsistentEdges(f"edge {e} appears more than twice")
-            partner[x] = y
-            partner[y] = x
-    if -1 in partner:
-        raise InconsistentEdges(f"edge {edges[partner.index(-1)]} appears once")
+    corner's edge id; every id must be used exactly twice.  ``order`` is
+    the corners stably sorted by edge id (``assemble_pd`` passes the one
+    it walks from), sorted here when not given.  Every id is used twice
+    exactly when the ids at even positions of that order equal those at
+    odd ones, a list comparison, and are distinct, a set; each edge's
+    corners then sit side by side.  Otherwise ``_pairing_error`` names
+    the edge refused."""
+    if order is None:
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+    labels = list(map(edges.__getitem__, order))
+    evens = labels[0::2]
+    if evens != labels[1::2] or 2 * len(set(evens)) != len(labels):
+        raise InconsistentEdges(_pairing_error(edges))
+    partner = [0] * len(edges)
+    for x, y in zip(order[0::2], order[1::2]):
+        partner[x] = y
+        partner[y] = x
     return partner
+
+
+def _pairing_error(edges: list[int]) -> str:
+    """Why corners with these edge ids do not pair: the id whose third
+    use comes first in corner order, or else the first id used once."""
+    uses: dict[int, int] = {}
+    for e in edges:
+        k = uses[e] = uses.get(e, 0) + 1
+        if k == 3:
+            return f"edge {e} appears more than twice"
+    return next(f"edge {e} appears once" for e in edges if uses[e] == 1)
 
 
 def _reflect(edges: tuple[int, ...], sign: int):
@@ -444,7 +460,9 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
     order of least crossing id.  Both strands at a crossing lie in its
     piece, so a piece is a union of components: join each crossing's
     under-strand component (slot 0) with its over-strand one (slot 1).
-    The labels, numbered in piece order, stay in the memo as ``piece_of``."""
+    The labels, numbered in piece order, stay in the memo as ``piece_of``.
+    When every component joins one root, as in most diagrams, there is
+    one piece, and the labels need no numbering or sort."""
     ec = d.edge_component
     corners = d.corner_edges
     under = list(map(ec.__getitem__, corners[0::4]))
@@ -457,7 +475,11 @@ def _pieces(d: LinkDiagram) -> list[set[int]]:
 
     for u, o in set(zip(under, map(ec.__getitem__, corners[1::4]))):
         root[find(u)] = find(o)
-    label = list(map([find(i) for i in root].__getitem__, under))
+    roots = [find(i) for i in root]
+    if len(set(roots)) == 1:
+        d.__dict__["piece_of"] = [0] * len(under)
+        return [set(range(len(under)))]
+    label = list(map(roots.__getitem__, under))
     # dict keys keep the order of each label's least crossing
     number = {r: i for i, r in enumerate(dict.fromkeys(label))}
     piece_of = d.__dict__["piece_of"] = list(map(number.__getitem__, label))
@@ -613,13 +635,15 @@ def assemble_pd(
     if nloops > CATALOG_MAX_SIZE:
         raise MalformedPD(f"{nloops} loops; link diagrams are limited to {CATALOG_MAX_SIZE}")
     edges = list(chain.from_iterable(tuples))
-    partner = _pair_corners(edges)
+    # every id is used twice, so a stable sort by id puts each edge's
+    # first corner at an even position, in order of edge id, and its
+    # second right after it, which is how the corners pair
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    partner = _pair_corners(edges, order)
     heads: list[int] = []
     bounds = [1]
     walked: set[int] = set()
-    # every id is used twice, so a stable sort by id puts each edge's
-    # first corner at an even position, in order of edge id
-    for x0 in sorted(range(len(edges)), key=edges.__getitem__)[::2]:
+    for x0 in order[::2]:
         if x0 in walked or partner[x0] in walked:
             continue  # on a component already walked
         walk, x = [x0], x0

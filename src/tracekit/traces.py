@@ -40,6 +40,7 @@ from .linkdiag import (
     BandSpec,
     LinkDiagram,
     _band_merge_builder,
+    _end_face,
     _reflect,
     _same_piece,
     linking_matrix,
@@ -278,18 +279,46 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     the band it clasps and later bands add no crossings; so two open
     components cross, and the corners between one's incoming and the
     other's outgoing half meet both with equal parity, a bucket read
-    here."""
+    here.
+
+    The band is the least pair (least edge, least edge on another
+    component) over the buckets of corners keyed by face and parity.
+    The least edge e of the open components, the first edge of the first
+    since ``d`` is canonical, is the least entry of both buckets it lies
+    in, and every other bucket's least entry is above it.  So when either
+    of e's buckets holds an edge of another open component, the band is
+    e and the least such edge, read from those two buckets alone; only
+    otherwise are all corners bucketed."""
     ec = d.edge_component
     n_edge_comps = len(d.components)
+    edge_comps = sorted(i for i in comps if i < n_edge_comps)
+    face_of = d.face_of
+    none = len(d.corner_edges)  # above every edge id
+    if edge_comps:
+        # e's corner z is an entry of the walk of _end_face(face_of, z);
+        # a face's entries are the corners after its corners w
+        corner_edges, out = d.corner_edges, d.corner_out
+        first = edge_comps[0]
+        e = d.components[first][0]
+        x = corner_edges.index(e)
+        witness = none
+        for z in (x, d.partner[x]):
+            parity = out[z]
+            for w in d.face_corners[_end_face(face_of, z)]:
+                y = w - 3 if w & 3 == 3 else w + 1
+                if out[y] == parity and (g := corner_edges[y]) < witness:
+                    c = ec[g]
+                    if c != first and c in comps:
+                        witness = g
+        if witness < none:
+            return BandSpec(e, witness)
     # corner y is the entry (its edge, corner_out[y]) of the walk of face
     # _end_face(face_of, y), the face at the corner before it, read here
     # from a copy of face_of shifted by one slot: bucket the entries by
     # face and parity, and keep each bucket's least edge, its component,
     # and its least edge on another component
-    face_of = d.face_of
     face_before = face_of[-1:] + face_of[:-1]
     face_before[0::4] = face_of[3::4]
-    none = len(d.corner_edges)  # above every edge id
     least, least_comp, other = ([none] * (2 * len(d.face_corners)) for _ in range(3))
     for e, f, out in zip(d.corner_edges, face_before, d.corner_out):
         c = ec[e]
@@ -306,7 +335,6 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
         return BandSpec(*best)
     # bands involving crossing-free loops are always coherent
     loop_comps = sorted(i for i in comps if i >= n_edge_comps)
-    edge_comps = sorted(i for i in comps if i < n_edge_comps)
     if loop_comps and (edge_comps or len(loop_comps) >= 2):
         loop_arc = ("loop", loop_comps[0] - n_edge_comps)
         if edge_comps:
@@ -336,8 +364,12 @@ def _knotify_step(d: LinkDiagram, band: BandSpec):
     # smoothed away, so it is planar whenever this one is, and only
     # this freeze checks planarity
     final = b.freeze()
-    emap = {e: v for e, v in b.last_edge_map.items() if e < fresh}
-    return final, b.last_edge_map[circle], b.last_edge_map[knot], emap, d.loops - final.loops
+    emap = b.last_edge_map
+    circle, knot = emap[circle], emap[knot]
+    # every id from ``fresh`` on is a clasp piece or circle edge
+    for e in range(fresh, b._next_edge):
+        del emap[e]
+    return final, circle, knot, emap, d.loops - final.loops
 
 
 def _resolve(arc: Arc, d: LinkDiagram, maps: list[dict[int, int]]) -> Arc:
@@ -509,6 +541,12 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
     attaching circles) to close up to a standard 4-sphere candidate:
     n >= 2k, vanishing abelianized fundamental group, and the Euler
     bookkeeping.  Never asserts a diffeomorphism."""
+    return _schoenflies_verdict(mixed, mixed.winding_matrix())
+
+
+def _schoenflies_verdict(mixed: MixedLink, w: list[list[int]]) -> TraceVerdict:
+    """``schoenflies_candidate`` given the mixed diagram's winding
+    matrix."""
     k = len(mixed.dotted)
     n = len(mixed.attaching)
     checks = []
@@ -517,7 +555,6 @@ def schoenflies_candidate(mixed: MixedLink) -> TraceVerdict:
         checks.append(f"n = {n} >= 2k = {2 * k}")
     else:
         failures.append(f"n = {n} < 2k = {2 * k}")
-    w = mixed.winding_matrix()
     rank, torsion = cokernel(w)
     if rank == 0 and not torsion:
         checks.append("coker of the winding matrix vanishes "

@@ -136,6 +136,32 @@ def test_check_schoenflies_file(tmp_path, capsys):
     assert json.loads(out)["verdict"]["status"] == "pass-necessary"
 
 
+def test_check_schoenflies_computes_the_winding_matrix_once(tmp_path, capsys, monkeypatch):
+    """The verdict reads the W the report shows: a 1x2 W costs two
+    linking numbers (four when each computed its own), and the report
+    bytes are as before."""
+    data = ld.to_json_dict(ld.catalog("borromean"))
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({**data, "dotted": [0], "framings": [0, 0]}))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return ld.linking_number(*args)
+
+    monkeypatch.setattr(traces, "linking_number", counted)
+    assert run(capsys, "check-schoenflies", str(path)) == (0, (
+        '{"W": [[0, 0]], "attaching": [1, 2], "construction": "schoenflies-candidate", '
+        '"dotted": [0], "verdict": {"checks": ["n = 2 >= 2k = 2", '
+        '"coker(W) = (rank 1, torsion ()) != 0"], "data": {}, "status": "fail"}}\n'))
+    assert calls == [(1, 0), (2, 0)]
+    assert run(capsys, "check-schoenflies", str(path), "--format", "table") == (0, (
+        'W: [[0, 0]]\nattaching: [1, 2]\nconstruction: "schoenflies-candidate"\n'
+        'dotted: [0]\nverdict:\n'
+        '  checks: ["n = 2 >= 2k = 2", "coker(W) = (rank 1, torsion ()) != 0"]\n'
+        '  data:\n\n  status: "fail"\n'))
+
+
 def test_exit_codes(tmp_path, capsys):
     code, _ = run(capsys, "parse", str(tmp_path / "missing.json"))
     assert code == 2
@@ -830,7 +856,7 @@ LIBRARY_CALL = {
     "trace": (traces, "zero_trace"),
     "knotify": (traces, "knotify"),
     "check-sphere": (traces, "_sphere_verdict"),
-    "check-schoenflies": (traces, "schoenflies_candidate"),
+    "check-schoenflies": (traces, "_schoenflies_verdict"),
     "catalog": (cli, "catalog"),
     "batch": (cli, "obstruction_report"),
 }
