@@ -12,10 +12,10 @@ Exit codes: 0 success, 2 malformed input, 3 precondition violation,
 error bands (always a bug); each band's class in ``errors`` carries its
 exit code and stderr prefix.  Malformed input includes a usage error,
 an option given an empty value (``--framings ""``, ``--partition ""``,
-``--bands ""``, ``--catalog ""``, ``--out ""``) and an ``--out`` path that
-cannot be written.  Identical inputs produce byte-identical reports;
-batch rows follow manifest order, and a batch exits 4 when any row
-failed outside the input and precondition bands.
+``--bands ""``, ``--catalog ""``, ``--out ""``) and a report that the
+``--out`` path or stdout cannot take.  Identical inputs produce
+byte-identical reports; batch rows follow manifest order, and a batch
+exits 4 when any row failed outside the input and precondition bands.
 
 Every command reads its link through ``_load``: a ``--catalog`` entry,
 else a link file given by position (link JSON or PD text), and ``batch``
@@ -128,14 +128,16 @@ def _emit(args, report: dict):
     """Render ``report`` in ``--format`` and write it to ``--out`` or stdout."""
     payload = (_as_table(report) if args.format == "table"
                else json.dumps(report, sort_keys=True)) + "\n"
-    if args.out is None:
-        sys.stdout.write(payload)
-        return
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        payload.encode("utf-8")  # a lone surrogate is refused on stdout too
+        if args.out is None:
+            sys.stdout.write(payload)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+        where = "stdout" if args.out is None else args.out
+        raise InputError(f"cannot write {where}: {exc}") from exc
 
 
 def _as_table(data: dict, indent: str = "") -> str:

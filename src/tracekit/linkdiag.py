@@ -8,7 +8,8 @@ consecutively along each component following its orientation, which is
 what lets a bare PD code be reoriented unambiguously.
 
 Zero-crossing unknot components ("loops") are first class and carried as
-a count next to the edge-bearing components.
+a count next to the edge-bearing components.  Only this module reads the
+corner layout and PD slot templates, knotification's band steps included.
 
 All public values are immutable; every operation returns a new diagram
 in canonical form (components sorted by least edge id, edges renumbered
@@ -19,6 +20,7 @@ structural equality is meaningful and serialization round-trips exactly.
 import json
 import re
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, count, groupby, repeat
 from math import gcd
@@ -830,9 +832,13 @@ def band_merge(d: LinkDiagram, band: BandSpec) -> LinkDiagram:
 
 def _band_merge_builder(d: LinkDiagram, band: BandSpec):
     """The band merge, unfrozen: (builder, band-side arcs in its ids,
-    whether the band runs through a face to the left of arc_a).  The
-    band-side arcs sit across one section of the band, where a clasping
-    surgery circle fits."""
+    whether the clasp across them is mirrored).  The band-side arcs sit
+    across one section of the band, where a clasping surgery circle fits,
+    in the band's strip face, opposite the face the band crossed.  For
+    arcs in one piece that is the only face the connectors share (a
+    4-valent graph has no bridge), so the clasp is mirrored when the band
+    crossed a face right of arc_a; across pieces both drawings fit, and
+    the unmirrored one is taken.  A loop band leaves one arc, met twice."""
     if not band.coherent:
         raise OrientationConflict("band gluing reverses orientation")
     ca = _component_of_arc(d, band.arc_a, BadComponentIndex)
@@ -851,7 +857,7 @@ def _band_merge_builder(d: LinkDiagram, band: BandSpec):
     # are anti-parallel (equal parities) for an even half-twist count and
     # parallel for an odd one; arcs in different pieces meet either way.
     anti = band.framing % 2 == 0
-    if _same_piece(d, band.arc_a, band.arc_b):
+    if same := _same_piece(d, band.arc_a, band.arc_b):
         sides = _face_sides(d, band.arc_a, band.arc_b)
         lefts = {not x for x, y in sides if (x == y) == anti}
         if not lefts:
@@ -863,7 +869,7 @@ def _band_merge_builder(d: LinkDiagram, band: BandSpec):
         lefts = {True, False}
     positive = band.framing > 0
     left = positive if positive in lefts else not positive
-    return *_band_build(d, band, left), left
+    return *_band_build(d, band, left), same and not left
 
 
 def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
@@ -895,6 +901,138 @@ def _band_build(d: LinkDiagram, band: BandSpec, left: bool):
             crossing = _switch(*crossing)
         b.add_crossing(*crossing)
     return b, (apiece[0], bpiece[-1])
+
+
+def _clasp(b, first: Sequence[int], second: Sequence[int], mirrored: bool) -> int:
+    """Add the 4-crossing clasp of a 0-framed surgery circle around two
+    strands, each given as (in, middle, out) edges already split or
+    allocated by the caller.  The first strand passes under the circle
+    and then over it, the second over and then under.  ``mirrored``
+    reverses every crossing's cyclic order.  Returns one circle edge id."""
+    a_in, a_mid, a_out = first
+    b_in, b_mid, b_out = second
+    k = [b.new_edge_id() for _ in range(4)]
+    pattern = [
+        ((a_in, k[1], a_mid, k[0]), 1),
+        ((b_mid, k[1], b_out, k[2]), -1),
+        ((k[2], b_in, k[3], b_mid), -1),
+        ((k[3], a_out, k[0], a_mid), 1),
+    ]
+    for crossing in pattern:
+        b.add_crossing(*(_reflect(*crossing) if mirrored else crossing))
+    return k[0]
+
+
+def _clasp_across(b, conn_a: Arc, conn_b: Arc, mirrored: bool) -> tuple[int, list[int]]:
+    """Cut two arcs of a builder twice each and clasp their middle pieces
+    with ``_clasp``; one arc given twice is cut four times and its second
+    and fourth pieces are clasped.  Returns (circle edge id, conn_a's
+    clasped pieces), whose second is the first edge id the cuts
+    allocated."""
+    if conn_a == conn_b:
+        pieces = b.cut(conn_a, 4)
+        first, second = pieces[0:3], pieces[2:5]
+    else:
+        first, second = b.cut(conn_a, 2), b.cut(conn_b, 2)
+    return _clasp(b, first, second, mirrored), first
+
+
+def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
+    """Lexicographically first coherent untwisted band between distinct
+    components of ``comps``, when one exists without moving any arcs.
+
+    Between two or more of knotify's open components (those with no
+    circle) one always exists: a loop bands to any other one, and ones in
+    different pieces are joined.  In one piece, deleting the circles
+    leaves the open components connected, since a circle crosses only
+    the band it clasps and later bands add no crossings; so two open
+    components cross, and the corners between one's incoming and the
+    other's outgoing half meet both with equal parity, a bucket read
+    here.
+
+    The band is the least pair (least edge, least edge on another
+    component) over the buckets of corners keyed by face and parity.
+    The least edge e of the open components, the first edge of the first
+    since ``d`` is canonical, is the least entry of both buckets it lies
+    in, and every other bucket's least entry is above it.  So when either
+    of e's buckets holds an edge of another open component, the band is
+    e and the least such edge, read from those two buckets alone; only
+    otherwise are all corners bucketed."""
+    ec = d.edge_component
+    n_edge_comps = len(d.components)
+    edge_comps = sorted(i for i in comps if i < n_edge_comps)
+    # a witness is an edge of a second open edge component
+    if len(edge_comps) >= 2:
+        face_of, corner_edges, out = d.face_of, d.corner_edges, d.corner_out
+        none = len(corner_edges)  # above every edge id
+        # e's corner z is an entry of the walk of _end_face(face_of, z);
+        # a face's entries are the corners after its corners w
+        first = edge_comps[0]
+        e = d.components[first][0]
+        x = corner_edges.index(e)
+        witness = none
+        for z in (x, d.partner[x]):
+            parity = out[z]
+            for w in d.face_corners[_end_face(face_of, z)]:
+                y = w - 3 if w & 3 == 3 else w + 1
+                if out[y] == parity and (g := corner_edges[y]) < witness:
+                    c = ec[g]
+                    if c != first and c in comps:
+                        witness = g
+        if witness < none:
+            return BandSpec(e, witness)
+        # corner y is the entry (its edge, corner_out[y]) of the walk of
+        # face _end_face(face_of, y), the face at the corner before it,
+        # read here from a copy of face_of shifted by one slot: bucket the
+        # entries by face and parity, and keep each bucket's least edge,
+        # its component, and its least edge on another component
+        face_before = face_of[-1:] + face_of[:-1]
+        face_before[0::4] = face_of[3::4]
+        least, least_comp, other = ([none] * (2 * len(d.face_corners)) for _ in range(3))
+        for e, f, out in zip(d.corner_edges, face_before, d.corner_out):
+            c = ec[e]
+            if c in comps:
+                k = 2 * f + out
+                if e < least[k]:
+                    if c != least_comp[k]:
+                        other[k] = least[k]
+                    least[k], least_comp[k] = e, c
+                elif c != least_comp[k] and e < other[k]:
+                    other[k] = e
+        best = min(((e, x) for e, x in zip(least, other) if x < none), default=None)
+        if best is not None:
+            return BandSpec(*best)
+    # bands involving crossing-free loops are always coherent
+    loop_comps = sorted(i for i in comps if i >= n_edge_comps)
+    if loop_comps and (edge_comps or len(loop_comps) >= 2):
+        loop_arc = ("loop", loop_comps[0] - n_edge_comps)
+        if edge_comps:
+            return BandSpec(loop_arc, d.components[edge_comps[0]][0])
+        return BandSpec(loop_arc, ("loop", loop_comps[1] - n_edge_comps))
+    # components in different connected pieces can always be joined: the
+    # first component, to the first later one outside its piece
+    reps = [d.components[c][0] for c in edge_comps]
+    other = next((e for e in reps[1:] if not _same_piece(d, reps[0], e)), None)
+    return None if other is None else BandSpec(*sorted((reps[0], other)))
+
+
+def _knotify_step(d: LinkDiagram, band: BandSpec):
+    """One band merge plus clasping circle, built in one builder and
+    frozen once.  Returns (diagram, circle edge id, merged-component
+    representative edge, old-edge map, loops consumed); the map covers
+    every edge that existed before the clasp, so every edge of ``d``."""
+    b, (conn_a, conn_b), mirrored = _band_merge_builder(d, band)
+    circle, (knot, fresh, _) = _clasp_across(b, conn_a, conn_b, mirrored)
+    # the merged diagram is this one with the clasp's four crossings
+    # smoothed away, so it is planar whenever this one is, and only
+    # this freeze checks planarity
+    final = b.freeze()
+    emap = b.last_edge_map
+    circle, knot = emap[circle], emap[knot]
+    # every id from ``fresh`` on is a clasp piece or circle edge
+    for e in range(fresh, b._next_edge):
+        del emap[e]
+    return final, circle, knot, emap, d.loops - final.loops
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The direct-band search that scans every corner.
 
-``traces._direct_band`` once bucketed every corner by face and parity
+``linkdiag._direct_band`` once bucketed every corner by face and parity
 and took the least (least edge, least edge on another component) over
 the buckets.  It now answers from the two buckets of the least open
 edge when they hold a witness, and scans only otherwise; this copy of

@@ -773,6 +773,19 @@ def test_a_manifest_file_with_a_nul_is_an_input_row(tmp_path, capsys):
     assert data["summary"]["by_band"] == {"input": 1, "precondition": 0, "internal": 0}
 
 
+def _ascii_locale_batch(tmp_path, entry, *options):
+    """``tracekit batch`` on a one-entry manifest in a child process whose
+    locale and filesystem encoding are ASCII."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING"))}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    return subprocess.run([sys.executable, "-m", "tracekit", "batch", "manifest.json",
+                           *options], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+
+
 @pytest.mark.parametrize("entry, row, band", [
     # the path cannot be encoded, so it cannot be opened
     ({"file": "caf\u00e9.json"}, "entry=caf\u00e9.json  error=InputError: cannot read ",
@@ -784,19 +797,36 @@ def test_non_ascii_batch_row_under_an_ascii_locale(tmp_path, entry, row, band):
     """Under an ASCII locale and filesystem encoding a non-ASCII manifest
     path is an input-band row, and ``--out`` is written in UTF-8, the
     encoding input files are read in."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING"))}
-    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
-    proc = subprocess.run([sys.executable, "-m", "tracekit", "batch", "manifest.json",
-                           "--format", "table", "--out", "report.txt"],
-                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    proc = _ascii_locale_batch(tmp_path, entry, "--format", "table", "--out", "report.txt")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert f"  - {row}" in report
     assert f"    {band}: 1\n" in report
+
+
+def test_a_table_the_locale_cannot_encode_is_an_input_error_on_stdout(tmp_path):
+    """A table to stdout takes the locale's encoding; one that it cannot
+    encode exits 2, never 4.  The JSON report is ASCII, so it goes out."""
+    proc = _ascii_locale_batch(tmp_path, {"catalog": "caf\u00e9"}, "--format", "table")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"input error: cannot write stdout: 'ascii' codec ")
+    assert b"Traceback" not in proc.stderr
+    proc = _ascii_locale_batch(tmp_path, {"catalog": "caf\u00e9"})
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert json.loads(proc.stdout)["rows"][0]["entry"] == "caf\u00e9"
+
+
+@pytest.mark.parametrize("out", [(), ("--out", "report.txt")], ids=["stdout", "out"])
+def test_a_lone_surrogate_label_is_refused_on_either_destination(tmp_path, out):
+    """A report that is not UTF-8 text is refused before anything is
+    written, whether it goes to stdout or to ``--out``."""
+    proc = _ascii_locale_batch(tmp_path, {"catalog": "\udc80"}, "--format", "table", *out)
+    where = out[-1] if out else "stdout"
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(
+        f"input error: cannot write {where}: 'utf-8' codec can't encode".encode())
+    assert b"surrogates not allowed" in proc.stderr
+    assert not (tmp_path / "report.txt").exists()
 
 
 # -- options and exit codes ---------------------------------------------------

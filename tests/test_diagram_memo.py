@@ -115,6 +115,20 @@ def test_seed1_surgery_pass_freezes_once_per_band_and_clasp_step(monkeypatch, tm
     assert calls["_r2_insert_mapped"] == 0
 
 
+def test_seed1_surgery_pass_tests_each_band_for_one_piece_once(monkeypatch, tmp_path):
+    """A seed-1 pass over the benchmark's surgery corpus asks
+    ``_same_piece`` 73 times: once in each of the 68 edge-band builds,
+    which also decide the clasp's drawing, and 5 times in the direct
+    band's piece fallback.  The knotify step asking again for the clasp
+    made 138."""
+    items = bench_corpus.build("surgery", GOLDEN_SEED)
+    calls = {"_same_piece": 0}
+    monkeypatch.setattr(ld, "_same_piece", _counting(calls, "_same_piece", ld._same_piece))
+    for k, item in enumerate(items):
+        assert run_item(item, tmp_path / f"item{k}")[0] == 0
+    assert calls["_same_piece"] == 73
+
+
 def test_memo_is_never_mutated(corpus):
     for d, _ in corpus:
         for attr in MEMOS:

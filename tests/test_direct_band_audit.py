@@ -1,6 +1,6 @@
 """The least-edge answer of the direct-band search, audited.
 
-``traces._direct_band`` answers from the two buckets of the least open
+``linkdiag._direct_band`` answers from the two buckets of the least open
 edge when one of them holds an edge of another open component, and
 scans every corner only otherwise.  Every knotify step of the seed-1
 surgery corpus and of seeded braid closures (2-8 components, 20-200
@@ -88,3 +88,22 @@ def test_seeded_closure_steps_match_the_full_scan(audited):
         tr.knotify(tr.FramedLink(d, (0,) * d.num_components))
     assert not mismatches, mismatches[:3]
     assert kinds["early"] and kinds["scan"] and kinds["loop"] and kinds["pieces"], kinds
+
+
+class _Unread(list):
+    def __getitem__(self, index):
+        raise AssertionError("face_of read with one open edge component")
+
+
+@pytest.mark.parametrize("word, strands, comps, band", [
+    ([1, 1, 1], 3, {0, 1}, ld.BandSpec(("loop", 0), 1)),  # trefoil and a loop
+    ([1, 1], 3, {0, 2}, ld.BandSpec(("loop", 0), 1)),  # Hopf's circle is not open
+])
+def test_one_open_edge_component_reads_no_bucket(word, strands, comps, band):
+    """A witness is an edge of a second open edge component, so with one
+    the search reads no face and answers with the loop band."""
+    d = ld.from_braid(word, strands)
+    assert ld._direct_band(d, comps) == direct_band(d, comps) == band
+    d = ld.from_braid(word, strands)
+    d.__dict__["face_of"] = _Unread(d.face_of)
+    assert ld._direct_band(d, comps) == band

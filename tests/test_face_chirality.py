@@ -78,7 +78,7 @@ def clasp_insert_by_trial(d, conn_a, conn_b):
         a2, a3 = b.split_edge(rest)
         b1, restb = b.split_edge(conn_b)
         b2, b3 = b.split_edge(restb)
-        circle = tr._clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored)
+        circle = ld._clasp(b, (a1, a2, a3), (b1, b2, b3), mirrored)
         try:
             frozen = b.freeze()
         except MalformedPD:
@@ -187,7 +187,7 @@ def test_clasp_on_every_equal_parity_pair_matches_trial_order(corpus):
             sides = ld._face_sides(d, a, b)
             if {(True, True), (False, False)} & sides:
                 builder = ld._thaw(d)
-                circle, _ = tr._clasp_across(builder, a, b, (True, True) not in sides)
+                circle, _ = ld._clasp_across(builder, a, b, (True, True) not in sides)
                 got = builder.freeze()
                 emap = builder.last_edge_map
                 assert (got, emap[circle], emap) == clasp_insert_by_trial(d, a, b)

@@ -21,7 +21,6 @@ from test_diagram_memo import _exercise
 from test_face_chirality import _corpus, _edge_pairs
 from test_flat_core import ref_pieces
 from tracekit import linkdiag as ld
-from tracekit import traces as tr
 from tracekit.errors import MalformedPD, TracekitError
 
 
@@ -98,7 +97,7 @@ def test_clasp_freezes_match(checked):
                 a2, a3 = bd.split_edge(rest)
                 b1, restb = bd.split_edge(b)
                 b2, b3 = bd.split_edge(restb)
-                tr._clasp(bd, (a1, a2, a3), (b1, b2, b3), mirrored)
+                ld._clasp(bd, (a1, a2, a3), (b1, b2, b3), mirrored)
                 try:
                     bd.freeze()
                 except MalformedPD:
