@@ -2,7 +2,8 @@
 
 Everything here works over arbitrary-precision Python ints; no floating
 point is used anywhere.  Matrices are lists of lists, row major, and
-inputs are never mutated.
+dense matrices are never mutated; ``congruence_rows`` consumes the
+sparse rows it is given.
 
 ``congruence_rows`` is the symmetric-form kernel: sparse minimum-degree
 congruence elimination of integer rows keyed by any ints (face ids, for

@@ -4,6 +4,8 @@ Reports take the signature and the determinant from the Goeritz form of
 a checkerboard shading, corrected by the crossing types
 (Gordon-Litherland): either shading gives both, so one sparse congruence
 pass per connected piece does, and the tests audit the other shading.
+``linkdiag._shadings`` hands over each piece's two shading classes as
+faces and crossing edges, so this module reads no corner layout.
 The symmetrized Seifert matrix of a braid-form presentation
 (``signature_seifert``, ``determinant``) is a fully independent second
 engine; no report calls it, and the test suite uses it as the oracle.
@@ -18,18 +20,11 @@ behind the planar-surface obstruction reports.  A report is an
 and renders that as JSON or tables.
 """
 
-from operator import eq
 from typing import NamedTuple
 
-from .errors import (
-    DisconnectedDiagram,
-    InternalInvariantError,
-    NotAlternating,
-    ParityViolation,
-    PreconditionError,
-)
+from .errors import DisconnectedDiagram, NotAlternating, ParityViolation, PreconditionError
 from .exactlinalg import congruence_rows, det_int, signature_symmetric
-from .linkdiag import LinkDiagram, is_alternating, is_connected
+from .linkdiag import LinkDiagram, _shadings, is_alternating, is_connected
 from .seifert import SeifertData, seifert
 
 
@@ -63,43 +58,6 @@ class GoeritzData(NamedTuple):
     shading: int  # 0 or 1, which color class of faces was used
 
 
-def _shadings(d: LinkDiagram) -> list[tuple[list[int], list[tuple[int, int, int, int]]]]:
-    """The checkerboard shading classes of the faces, each as (its faces
-    in increasing order, its crossing edges (a, b, weight, crossing sign)
-    in crossing order): every crossing joins its opposite face corners,
-    (0,2) with weight +1 and (1,3) with weight -1, so opposite corners
-    share a class and adjacent ones differ.  One traversal colours the
-    faces, and the classes come in order of least face.  A face walk
-    never leaves its piece, so each piece has two classes."""
-    face_of, face_corners = d.face_of, d.face_corners
-    color = [-1] * len(face_corners)
-    classes = []
-    for f0 in range(len(face_corners)):
-        if color[f0] >= 0:
-            continue
-        k = color[f0] = len(classes)
-        faces = [f0]
-        # the loop also visits the faces appended while it runs
-        for f in faces:
-            for x in face_corners[f]:
-                g = face_of[x ^ 2]
-                if color[g] < 0:
-                    color[g] = k
-                    faces.append(g)
-        faces.sort()
-        classes.append((faces, []))
-    # corner -> its class: opposite corners equal, adjacent ones differ
-    cls = list(map(color.__getitem__, face_of))
-    if (len(classes) != 2 * len(d.pieces) or cls[0::4] != cls[2::4] or cls[1::4] != cls[3::4]
-            or any(map(eq, cls[0::4], cls[1::4]))):
-        raise InternalInvariantError(f"{len(classes)} shading classes, not a checkerboard")
-    for a, b, p, q, c in zip(face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4],
-                             d.crossings):
-        classes[color[a]][1].append((a, p, 1, c.sign))
-        classes[color[b]][1].append((b, q, -1, c.sign))
-    return classes
-
-
 def _goeritz_rows(edges, faces) -> tuple[dict[int, dict[int, int]], int]:
     """One shading's Goeritz form as sparse rows {face: {face: nonzero}},
     the first face dropped, and the correction from the crossings whose
@@ -123,7 +81,8 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, ...]:
     if not is_connected(d):
         raise DisconnectedDiagram("Goeritz form needs a connected diagram")
     out = []
-    for shading, (faces, edges) in enumerate(_shadings(d)):
+    classes = (c for pair in _shadings(d) for c in pair)
+    for shading, (faces, edges) in enumerate(classes):
         rows, correction = _goeritz_rows(edges, faces)
         matrix = tuple(tuple(rows[f].get(h, 0) for h in faces[1:]) for f in faces[1:])
         out.append(GoeritzData(matrix, correction, shading))
@@ -133,17 +92,12 @@ def goeritz_data(d: LinkDiagram) -> tuple[GoeritzData, ...]:
 def _goeritz_invariants(d: LinkDiagram) -> tuple[int, int]:
     """(sigma, det) of a diagram, summed and multiplied over its pieces:
     each piece's shading with fewer faces (on a tie, the one holding the
-    piece's least face, first in ``_shadings``' order) is eliminated
-    once, and crossing-free loops add (0, 1).  By Gordon-Litherland the
-    choice changes neither sigma nor |det|."""
-    chosen = {}
-    piece_of, face_corners = d.piece_of, d.face_corners
-    for faces, edges in _shadings(d):
-        piece = piece_of[face_corners[faces[0]][0] >> 2]
-        if piece not in chosen or len(faces) < len(chosen[piece][0]):
-            chosen[piece] = faces, edges
+    piece's least face, first in its pair) is eliminated once, and
+    crossing-free loops add (0, 1).  By Gordon-Litherland the choice
+    changes neither sigma nor |det|."""
     sigma, det = 0, 1
-    for faces, edges in chosen.values():
+    for first, second in _shadings(d):
+        faces, edges = second if len(second[0]) < len(first[0]) else first
         rows, correction = _goeritz_rows(edges, faces)
         pos, neg, piece_det = congruence_rows(rows)
         sigma -= pos - neg + correction

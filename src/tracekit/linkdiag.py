@@ -9,7 +9,8 @@ what lets a bare PD code be reoriented unambiguously.
 
 Zero-crossing unknot components ("loops") are first class and carried as
 a count next to the edge-bearing components.  Only this module reads the
-corner layout and PD slot templates, knotification's band steps included.
+corner layout and PD slot templates, knotification's band steps and the
+checkerboard shading that Goeritz reports eliminate included.
 
 All public values are immutable; every operation returns a new diagram
 in canonical form (components sorted by least edge id, edges renumbered
@@ -24,6 +25,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, count, groupby, repeat
 from math import gcd
+from operator import eq
 from typing import NamedTuple
 
 from .errors import (
@@ -549,6 +551,48 @@ def _validate_planarity(d: LinkDiagram):
             )
 
 
+def _shadings(d: LinkDiagram) -> list[list[tuple[list[int], list[tuple[int, int, int, int]]]]]:
+    """The checkerboard shading classes of the faces, one pair per piece
+    in piece order, each class as (its faces in increasing order, its
+    crossing edges (a, b, weight, crossing sign) in crossing order):
+    every crossing joins its opposite face corners, (0,2) with weight +1
+    and (1,3) with weight -1, so opposite corners share a class and
+    adjacent ones differ.  One traversal colours the faces, and the
+    class holding a piece's least face leads its pair.  A face walk never
+    leaves its piece, so each piece has two classes; a face memo that
+    gives a piece another number, or does not 2-colour every crossing's
+    corners, is refused."""
+    face_of, face_corners, piece_of = d.face_of, d.face_corners, d.piece_of
+    color = [-1] * len(face_corners)
+    classes = []
+    pairs = [[] for _ in d.pieces]
+    for f0 in range(len(face_corners)):
+        if color[f0] >= 0:
+            continue
+        k = color[f0] = len(classes)
+        faces = [f0]
+        # the loop also visits the faces appended while it runs
+        for f in faces:
+            for x in face_corners[f]:
+                g = face_of[x ^ 2]
+                if color[g] < 0:
+                    color[g] = k
+                    faces.append(g)
+        faces.sort()
+        classes.append((faces, []))
+        pairs[piece_of[face_corners[f0][0] >> 2]].append(classes[k])
+    # corner -> its class: opposite corners equal, adjacent ones differ
+    cls = list(map(color.__getitem__, face_of))
+    if (any(len(pair) != 2 for pair in pairs) or cls[0::4] != cls[2::4]
+            or cls[1::4] != cls[3::4] or any(map(eq, cls[0::4], cls[1::4]))):
+        raise InternalInvariantError(f"{len(classes)} shading classes, no checkerboard pairs")
+    for a, b, p, q, c in zip(face_of[0::4], face_of[1::4], face_of[2::4], face_of[3::4],
+                             d.crossings):
+        classes[color[a]][1].append((a, p, 1, c.sign))
+        classes[color[b]][1].append((b, q, -1, c.sign))
+    return pairs
+
+
 def face_edge_parities(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """For each face, the edges along its boundary walk together with a
     flag: True when the edge is traversed along its own orientation."""
@@ -965,15 +1009,13 @@ def _direct_band(d: LinkDiagram, comps: set[int]) -> BandSpec | None:
     if len(edge_comps) >= 2:
         face_of, corner_edges, out = d.face_of, d.corner_edges, d.corner_out
         none = len(corner_edges)  # above every edge id
-        # e's corner z is an entry of the walk of _end_face(face_of, z);
-        # a face's entries are the corners after its corners w
+        # e is an entry, with that place's parity, of each face walk it
+        # borders; a face's entries are the corners after its corners w
         first = edge_comps[0]
         e = d.components[first][0]
-        x = corner_edges.index(e)
         witness = none
-        for z in (x, d.partner[x]):
-            parity = out[z]
-            for w in d.face_corners[_end_face(face_of, z)]:
+        for f, parity in _edge_places(d, e):
+            for w in d.face_corners[f]:
                 y = w - 3 if w & 3 == 3 else w + 1
                 if out[y] == parity and (g := corner_edges[y]) < witness:
                     c = ec[g]

@@ -1,10 +1,10 @@
 """The union-find shading that Goeritz reports used to run.
 
 ``invariants._shadings`` once joined the faces at every crossing with a
-union-find and ordered the classes by their roots.  It now colours the
-faces in one traversal, classes in order of least face, and this
-function is kept here verbatim as the shading audit's reference, the way
-``ref_split`` keeps the per-piece freeze.
+union-find and ordered the classes by their roots.  Now
+``linkdiag._shadings`` colours the faces in one traversal and pairs the
+classes by piece, and this function is kept here verbatim as the shading
+audit's reference, the way ``ref_split`` keeps the per-piece freeze.
 """
 
 from tracekit.errors import InternalInvariantError

@@ -7,7 +7,9 @@ replaced, and both must give the same (free rank, torsion) on seeded,
 row- and column-permuted block-diagonal matrices and on the Q of every
 seed-1 surgery ``trace`` and ``check-sphere`` item of the benchmark
 corpus.  The rank of W that ``HandleDecomposition`` memoizes is checked
-against the same reference.  Set TRACEKIT_SEED to draw other matrices.
+against the same reference.  ``cokernel``, like the dense kernels
+``det_int`` and ``signature_symmetric``, leaves its input as it is.  Set
+TRACEKIT_SEED to draw other matrices.
 """
 
 import time
@@ -20,7 +22,7 @@ from test_golden_reports import GOLDEN_SEED, corpus, run_item
 from tracekit import cli, exactlinalg
 from tracekit import linkdiag as ld
 from tracekit import traces as tr
-from tracekit.exactlinalg import cokernel
+from tracekit.exactlinalg import cokernel, det_int, signature_symmetric
 
 
 def _w_rank(w) -> int:
@@ -116,6 +118,17 @@ def test_cokernel_does_not_mutate_its_input(rng):
         rows = tuple(map(tuple, m))
         cokernel(rows)
         cokernel(m)
+        assert m == [list(r) for r in rows]
+
+
+@pytest.mark.parametrize("kernel", [det_int, signature_symmetric])
+def test_dense_kernels_do_not_mutate_their_input(rng, kernel):
+    for _ in range(50):
+        n = rng.randrange(0, 7)
+        b = random_block(rng, n, n)
+        m = [[x + y for x, y in zip(row, col)] for row, col in zip(b, zip(*b))]
+        rows = tuple(map(tuple, m))
+        kernel(m)
         assert m == [list(r) for r in rows]
 
 

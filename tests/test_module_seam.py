@@ -4,13 +4,16 @@ A frozen diagram's corner ``4c+s`` and the memo lists indexed by it
 (``corner_edges``, ``corner_out``, ``partner``, ``face_of``,
 ``face_corners``, ``piece_of``) are read in ``linkdiag`` alone, and
 only ``linkdiag`` adds crossings to a builder.  ``traces`` drives
-knotification through ``_direct_band`` and ``_knotify_step``, so its
-syntax tree names none of these, and it imports none of the private
-helpers the band surgery runs on.
+knotification through ``_direct_band`` and ``_knotify_step``, and
+``invariants`` takes its checkerboard shading from ``_shadings``, so
+the syntax tree of every other module names none of these, and none
+imports the private helpers the band surgery runs on.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tracekit"
 
@@ -37,8 +40,16 @@ def _seam_breaches(source: str) -> dict[str, set[str]]:
     return {"reads": reads, "calls": calls, "imports": imports}
 
 
-def test_traces_holds_no_corner_or_slot_arithmetic():
-    breaches = _seam_breaches((PACKAGE / "traces.py").read_text())
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linkdiag.py")
+
+
+def test_every_module_is_checked():
+    assert {"cli.py", "invariants.py", "traces.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_but_linkdiag_holds_corner_or_slot_arithmetic(module):
+    breaches = _seam_breaches((PACKAGE / module).read_text())
     assert breaches == {"reads": set(), "calls": set(), "imports": set()}
 
 

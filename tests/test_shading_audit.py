@@ -1,12 +1,14 @@
 """Shading classes from one face traversal against the union-find.
 
-``invariants._shadings`` colours the faces in one traversal: opposite
+``linkdiag._shadings`` colours the faces in one traversal: opposite
 corners share a class, adjacent corners differ.  Its classes must be
 those of the union-find it replaced (``ref_shadings``), face for face
 and crossing edge for crossing edge, on every seed-1 benchmark diagram,
 the catalog, seeded split diagrams with loops and large braid closures.
-Only the order of the classes may differ: the traversal lists them by
-least face.  A diagram whose face memo is not a checkerboard is refused.
+Only the order of the classes may differ: the traversal pairs them by
+piece, in piece order, each pair led by the class holding the piece's
+least face.  A diagram whose face memo is not a checkerboard, or gives
+a piece other than two classes, is refused.
 """
 
 import random
@@ -24,13 +26,20 @@ from tracekit.errors import InternalInvariantError
 
 
 def check(d):
-    got = inv._shadings(d)
+    pairs = ld._shadings(d)
+    got = [shading for pair in pairs for shading in pair]
     want = ref_shadings(d)
+    assert len(pairs) == len(d.pieces)
     assert len(got) == len(want) == 2 * len(d.pieces)
     as_set = {(tuple(faces), tuple(edges)) for faces, edges in got}
     assert as_set == {(tuple(faces), tuple(edges)) for faces, edges in want}
-    firsts = [faces[0] for faces, _ in got]
-    assert firsts == sorted(firsts)
+    # each pair holds its piece's faces, and the class with the least one leads
+    for piece, (first, second) in enumerate(pairs):
+        owners = {d.piece_of[d.face_corners[f][0] >> 2] for f in first[0] + second[0]}
+        assert owners == {piece}
+        assert first[0][0] < second[0][0]
+    leads = [first[0][0] for first, _ in pairs]
+    assert leads == sorted(leads)
 
 
 def _bench_diagrams():
@@ -87,6 +96,19 @@ def test_a_face_memo_that_is_no_checkerboard_is_refused(tamper):
     tamper(face_of)
     d.__dict__["face_of"] = face_of
     with pytest.raises(InternalInvariantError):
-        inv._shadings(d)
+        ld._shadings(d)
+    with pytest.raises(InternalInvariantError):
+        inv.obstruction_report(d)
+
+
+def test_a_face_memo_that_gives_a_piece_one_class_is_refused():
+    """This memo 2-colours every crossing's corners with four classes in
+    all, two per piece on average, but three of them start in the first
+    piece and one in the second: each piece must have a pair."""
+    d = ld.from_braid([1, 1, 3, 3], 4)
+    assert len(d.pieces) == 2 and inv.obstruction_report(d)[2:4] == (-2, 4)
+    d.__dict__["face_of"] = [0, 4, 2, 4, 7, 6, 7, 6, 4, 7, 4, 7, 4, 7, 4, 7]
+    with pytest.raises(InternalInvariantError):
+        ld._shadings(d)
     with pytest.raises(InternalInvariantError):
         inv.obstruction_report(d)
